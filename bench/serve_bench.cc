@@ -36,7 +36,6 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "service/job_scheduler.h"
 
 using namespace secreta;
 
@@ -159,16 +158,11 @@ int main(int argc, char** argv) {
   bench_tenant.access = AccessLevel::kDirect;  // also used for oracle checks
   bench::CheckOk(tenants.AddTenant(bench_tenant), "tenant");
 
-  SchedulerOptions scheduler_options;
-  scheduler_options.num_workers = clients;
-  scheduler_options.max_queue = 4096;
-  JobScheduler scheduler(scheduler_options);
-
   ServerOptions server_options;
   server_options.port = 0;  // ephemeral
   server_options.max_connections = clients + 1;
   server_options.admission.default_deadline_seconds = 30;
-  QueryServer server(&catalog, &tenants, &scheduler, server_options);
+  QueryServer server(&catalog, &tenants, nullptr, server_options);
   bench::CheckOk(server.Start(), "start server");
   printf("server on port %u, published \"bench\" in %.2fs\n",
          static_cast<unsigned>(server.port()), publish_seconds);
@@ -224,13 +218,13 @@ int main(int argc, char** argv) {
   // every query is pinned in the trace tail AND written to the slow-query
   // JSONL log. The runs are paired back-to-back and the gate compares the
   // best of each side, which cancels process-lifetime drift (allocator
-  // state, scheduler history, frequency scaling) that a single early
-  // baseline vs. late telemetry run would misattribute to telemetry; what
-  // remains is the true cost of the pipeline at its most verbose setting.
+  // state, frequency scaling) that a single early baseline vs. late
+  // telemetry run would misattribute to telemetry; what remains is the true
+  // cost of the pipeline at its most verbose setting.
   ServerOptions telemetry_options = server_options;
   telemetry_options.slow_query_threshold_seconds = 0;
   const std::string slow_log_path = "BENCH_slow_queries.jsonl";
-  bench::CheckOk(SlowQueryLog::Global().Open(slow_log_path, 0),
+  bench::CheckOk(SlowQueryLog::Global().Open(slow_log_path),
                  "open slow-query log");
   const int telemetry_reps = quick ? 1 : 3;
   RunStats baseline_run;   // best-qps rep, telemetry off
@@ -238,7 +232,7 @@ int main(int argc, char** argv) {
   RunStats paired_totals;  // ok/failed/mismatched over every paired run
   for (int rep = 0; rep < telemetry_reps; ++rep) {
     {
-      QueryServer off_server(&catalog, &tenants, &scheduler, server_options);
+      QueryServer off_server(&catalog, &tenants, nullptr, server_options);
       bench::CheckOk(off_server.Start(), "start telemetry-off server");
       RunStats run =
           HammerConcurrently(off_server.port(), "bench-token", "bench",
@@ -250,7 +244,7 @@ int main(int argc, char** argv) {
       paired_totals.mismatched += run.mismatched;
     }
     {
-      QueryServer on_server(&catalog, &tenants, &scheduler, telemetry_options);
+      QueryServer on_server(&catalog, &tenants, nullptr, telemetry_options);
       bench::CheckOk(on_server.Start(), "start telemetry-on server");
       RunStats run =
           HammerConcurrently(on_server.port(), "bench-token", "bench",

@@ -33,7 +33,6 @@
 #include "serve/http_metrics.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "service/job_scheduler.h"
 
 using namespace secreta;
 
@@ -68,7 +67,6 @@ void Usage() {
       "                       repeatable (default: demo)\n"
       "  --records N          records per synthetic dataset (default 1500)\n"
       "  --seed N             synthetic data seed (default 2014)\n"
-      "  --workers N          scheduler workers (default 4)\n"
       "  --max-connections N  concurrent client connections (default 8)\n"
       "  --deadline SECONDS   per-query deadline (default 5)\n"
       "  --idle-timeout SECONDS  drop idle connections (default 300)\n"
@@ -92,8 +90,6 @@ void Usage() {
 int main(int argc, char** argv) {
   bool have_listen = false;
   ServerOptions server_options;
-  SchedulerOptions scheduler_options;
-  scheduler_options.num_workers = 4;
   SyntheticOptions gen;
   gen.num_records = 1500;
   gen.seed = 2014;
@@ -126,9 +122,6 @@ int main(int argc, char** argv) {
       gen.num_records = static_cast<size_t>(std::atol(next("--records")));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       gen.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      scheduler_options.num_workers =
-          static_cast<size_t>(std::atol(next("--workers")));
     } else if (std::strcmp(argv[i], "--max-connections") == 0) {
       server_options.max_connections =
           static_cast<size_t>(std::atol(next("--max-connections")));
@@ -202,8 +195,7 @@ int main(int argc, char** argv) {
     TraceTail::Global().SetCapacity(trace_tail_capacity);
   }
   if (!slow_query_log_path.empty()) {
-    if (Status s = SlowQueryLog::Global().Open(
-            slow_query_log_path, server_options.slow_query_threshold_seconds);
+    if (Status s = SlowQueryLog::Global().Open(slow_query_log_path);
         !s.ok()) {
       Fail(s, "open --slow-query-log");
     }
@@ -212,8 +204,8 @@ int main(int argc, char** argv) {
                 server_options.slow_query_threshold_seconds);
   }
 
-  JobScheduler scheduler(scheduler_options);
-  QueryServer server(&catalog, &tenants, &scheduler, server_options);
+  QueryServer server(&catalog, &tenants, /*scheduler=*/nullptr,
+                     server_options);
   if (Status s = server.Start(); !s.ok()) Fail(s, "start server");
 
   std::unique_ptr<HttpMetricsServer> metrics_server;

@@ -38,8 +38,6 @@ inline constexpr char kServeSlowQueries[] = "serve.slow_queries";
 // --- serve.admission: admission control (src/serve/admission.cc) -----------
 inline constexpr char kAdmissionQuotaRejected[] =
     "serve.admission.quota_rejected";
-inline constexpr char kAdmissionBackpressureRejected[] =
-    "serve.admission.backpressure_rejected";
 inline constexpr char kAdmissionAdmitted[] = "serve.admission.admitted";
 inline constexpr char kAdmissionDeadlineExceeded[] =
     "serve.admission.deadline_exceeded";

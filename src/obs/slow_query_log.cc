@@ -1,9 +1,9 @@
 #include "obs/slow_query_log.h"
 
 #include "common/string_util.h"
-#include "export/json_writer.h"
 #include "obs/metric_names.h"
 #include "obs/metrics_registry.h"
+#include "obs/trace_tail.h"
 
 namespace secreta {
 
@@ -18,7 +18,7 @@ SlowQueryLog::SlowQueryLog()
 
 SlowQueryLog::~SlowQueryLog() { Close(); }
 
-Status SlowQueryLog::Open(const std::string& path, double threshold_seconds) {
+Status SlowQueryLog::Open(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     return Status::IOError(
@@ -27,7 +27,6 @@ Status SlowQueryLog::Open(const std::string& path, double threshold_seconds) {
   MutexLock lock(mutex_);
   if (file_ != nullptr) std::fclose(file_);
   file_ = file;
-  threshold_seconds_ = threshold_seconds;
   records_written_ = 0;
   enabled_.store(true, std::memory_order_release);
   return Status::OK();
@@ -42,14 +41,9 @@ void SlowQueryLog::Close() {
   }
 }
 
-double SlowQueryLog::threshold_seconds() const {
-  MutexLock lock(mutex_);
-  return threshold_seconds_;
-}
-
-void SlowQueryLog::Record(const SlowQueryRecord& record) {
+void SlowQueryLog::Record(const RequestTrace& trace) {
   if (!enabled()) return;
-  const std::string line = SlowQueryRecordToJsonLine(record);
+  const std::string line = RequestTraceToJsonLine(trace);
   {
     MutexLock lock(mutex_);
     if (file_ == nullptr) return;
@@ -66,35 +60,6 @@ void SlowQueryLog::Record(const SlowQueryRecord& record) {
 uint64_t SlowQueryLog::records_written() const {
   MutexLock lock(mutex_);
   return records_written_;
-}
-
-std::string SlowQueryRecordToJsonLine(const SlowQueryRecord& record) {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("trace_id");
-  writer.Int(static_cast<int64_t>(record.trace_id));
-  writer.Key("tenant");
-  writer.String(record.tenant);
-  writer.Key("dataset");
-  writer.String(record.dataset);
-  writer.Key("query_shape");
-  writer.String(record.query_shape);
-  writer.Key("outcome");
-  writer.String(record.outcome);
-  writer.Key("kernel_tier");
-  writer.String(record.kernel_tier);
-  writer.Key("queue_seconds");
-  writer.Number(record.queue_seconds);
-  writer.Key("run_seconds");
-  writer.Number(record.run_seconds);
-  writer.Key("total_seconds");
-  writer.Number(record.total_seconds);
-  writer.Key("threshold_seconds");
-  writer.Number(record.threshold_seconds);
-  writer.Key("cached");
-  writer.Bool(record.cached);
-  writer.EndObject();
-  return writer.TakeString();
 }
 
 }  // namespace secreta

@@ -5,8 +5,9 @@
 // head-sampling would either drop the one slow request you care about or
 // retain millions of healthy ones. The ring is exported live over the wire
 // (`admin.traces` op, direct-access tenants only) and dumped as JSONL at
-// daemon shutdown (`--trace-tail-out`); trace ids match the slow-query log
-// (obs/slow_query_log.h) so an operator can pivot between the two.
+// daemon shutdown (`--trace-tail-out`). A RequestTrace is the one record of a
+// request: the slow-query log (obs/slow_query_log.h) writes the same record,
+// so an operator can pivot between the two by trace id.
 
 #ifndef SECRETA_OBS_TRACE_TAIL_H_
 #define SECRETA_OBS_TRACE_TAIL_H_
@@ -38,8 +39,7 @@ struct RequestTrace {
   /// "ok" or the StatusCode name of the failure.
   std::string outcome = "ok";
   std::string kernel_tier;
-  double queue_seconds = 0;  ///< admission queue wait
-  double run_seconds = 0;    ///< evaluation time inside the job
+  double run_seconds = 0;    ///< admission entry to answer
   double total_seconds = 0;  ///< end-to-end frame handling
   bool cached = false;
   bool slow = false;
@@ -101,7 +101,8 @@ class TraceTail {
 /// Serializes traces as a JSON array (used by the `admin.traces` response).
 std::string RequestTracesToJson(const std::vector<RequestTrace>& traces);
 
-/// Serializes one trace as a single-line JSON object (JSONL row).
+/// Serializes one trace as a single-line JSON object (JSONL row); the format
+/// of both the trace-tail dump and the slow-query log.
 std::string RequestTraceToJsonLine(const RequestTrace& trace);
 
 }  // namespace secreta

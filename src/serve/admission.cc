@@ -1,23 +1,23 @@
 #include "serve/admission.h"
 
-#include <memory>
-#include <utility>
-
+#include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "obs/metric_names.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
 namespace secreta {
 
-AdmissionController::AdmissionController(JobScheduler* scheduler,
+AdmissionController::AdmissionController(JobScheduler* /*scheduler*/,
                                          const AdmissionOptions& options)
-    : scheduler_(scheduler), options_(options) {}
+    : options_(options) {}
 
 Result<double> AdmissionController::RunCount(ClientSession& session,
                                              const std::string& label,
                                              CountFn fn,
                                              AdmissionTiming* timing) {
   SECRETA_TRACE_SPAN("serve.admission");
+  Stopwatch timer;
   MetricsRegistry& metrics = MetricsRegistry::Global();
 
   Status quota = session.ChargeQuota();
@@ -25,56 +25,21 @@ Result<double> AdmissionController::RunCount(ClientSession& session,
     metrics.counter(metric_names::kAdmissionQuotaRejected)->Increment();
     return quota;
   }
-
-  // The scheduler's JobFn contract returns an EvaluationReport; a COUNT is
-  // just a double, so the value travels through this side channel while the
-  // report stays empty.
-  auto out = std::make_shared<double>(0);
-  JobScheduler::JobFn job =
-      [fn = std::move(fn), out](const CancellationToken& token)
-      -> Result<EvaluationReport> {
-    if (token.cancelled()) return Status::Cancelled("query cancelled");
-    SECRETA_ASSIGN_OR_RETURN(*out, fn());
-    // The deadline is cooperative: a count that finished after the reaper
-    // fired the token is late, not done. Returning Cancelled here lets the
-    // scheduler classify it — kTimedOut/DeadlineExceeded when the deadline
-    // fired, kCancelled for an explicit cancellation.
-    if (token.cancelled()) return Status::Cancelled("query cancelled");
-    return EvaluationReport{};
-  };
-
-  JobOptions job_options;
-  job_options.priority = options_.priority;
-  job_options.timeout_seconds = options_.default_deadline_seconds;
-  job_options.use_cache = false;
-
-  Result<uint64_t> submitted =
-      scheduler_->SubmitFn(std::move(job), label, job_options);
-  if (!submitted.ok()) {
-    metrics.counter(metric_names::kAdmissionBackpressureRejected)->Increment();
-    return submitted.status();
-  }
   metrics.counter(metric_names::kAdmissionAdmitted)->Increment();
 
-  SECRETA_ASSIGN_OR_RETURN(JobInfo info, scheduler_->WaitJob(*submitted));
-  if (timing != nullptr) {
-    timing->queue_seconds = info.queue_seconds;
-    timing->run_seconds = info.run_seconds;
+  Result<double> count = fn();
+  const double elapsed = timer.ElapsedSeconds();
+  if (timing != nullptr) timing->run_seconds = elapsed;
+  if (!count.ok()) return count;
+  const double deadline = options_.default_deadline_seconds;
+  if (deadline > 0 && elapsed > deadline) {
+    metrics.counter(metric_names::kAdmissionDeadlineExceeded)->Increment();
+    return Status::DeadlineExceeded(
+        StrFormat("query \"%s\" answered after %.3fs, past its %.3fs "
+                  "deadline",
+                  label.c_str(), elapsed, deadline));
   }
-  switch (info.state) {
-    case JobState::kDone:
-      return *out;
-    case JobState::kTimedOut:
-      metrics.counter(metric_names::kAdmissionDeadlineExceeded)->Increment();
-      return info.status;
-    case JobState::kFailed:
-    case JobState::kCancelled:
-      return info.status;
-    case JobState::kQueued:
-    case JobState::kRunning:
-      break;  // WaitJob only returns terminal states
-  }
-  return Status::Internal("query job left WaitJob in a live state");
+  return count;
 }
 
 }  // namespace secreta

@@ -1,17 +1,20 @@
-// Admission control: the bridge between the query server's connection
-// handlers and the JobScheduler's execution core. Every COUNT a client asks
-// for passes through here, in order:
+// Admission control: the gates every COUNT passes before and after it runs.
+// A COUNT's estimate takes microseconds, so it runs inline on the calling
+// connection handler, in order:
 //
-//   1. tenant quota (token bucket) — rejected queries never reach the
-//      scheduler, so a noisy tenant cannot starve others of queue slots;
-//   2. scheduler backpressure — SubmitFn fails with ResourceExhausted (+
-//      retry-after hint) when the job queue is full;
-//   3. per-query deadline — the scheduler's reaper fires the job's
-//      cancellation token, and the query fails with DeadlineExceeded.
+//   1. tenant quota (token bucket) — an over-quota query is rejected with
+//      ResourceExhausted plus a retry-after hint, which the protocol layer
+//      surfaces as "retry_after_ms" (HTTP-429 style) so clients back off
+//      instead of hammering;
+//   2. the count itself;
+//   3. per-query deadline — an answer that arrives later than the deadline is
+//      discarded and the query fails with DeadlineExceeded. The check is
+//      cooperative: the count is never interrupted, only judged late.
 //
-// Both rejection paths carry a retry-after hint in the Status, which the
-// protocol layer surfaces as "retry_after_ms" (HTTP-429 style) so clients
-// can back off instead of hammering.
+// There is no queue to apply backpressure to: each connection is synchronous,
+// so in-flight COUNTs are bounded by the server's connection cap, and a
+// connection beyond it is refused with ResourceExhausted + retry-after
+// (serve/server.h).
 
 #ifndef SECRETA_SERVE_ADMISSION_H_
 #define SECRETA_SERVE_ADMISSION_H_
@@ -21,51 +24,49 @@
 
 #include "common/status.h"
 #include "serve/session.h"
-#include "service/job_scheduler.h"
 
 namespace secreta {
+
+class JobScheduler;
 
 struct AdmissionOptions {
   /// Wall-clock budget per query; 0 disables the deadline.
   double default_deadline_seconds = 5.0;
-  /// Scheduler priority for interactive queries. Above the default 0 so
-  /// online COUNTs preempt queued batch evaluation jobs.
-  int priority = 10;
 };
 
-/// Where an admitted query's wall-clock went, for the slow-query log and
-/// tail traces. Zero on rejection paths (the query never ran).
+/// Where an admitted query's wall-clock went, for tail traces. Zero on
+/// rejection paths (the query never ran).
 struct AdmissionTiming {
-  double queue_seconds = 0;  ///< waited in the scheduler queue
-  double run_seconds = 0;    ///< evaluation inside the job
+  double queue_seconds = 0;  ///< always 0 (no queue); read by perfbench/
+  double run_seconds = 0;    ///< admission entry to answer
 };
 
-/// \brief Runs client queries through quota, backpressure, and deadline
-/// gates on a shared JobScheduler. Thread-safe: handlers on every
-/// connection call RunCount concurrently.
+/// \brief Runs client queries through the quota and deadline gates on the
+/// calling thread. Thread-safe: handlers on every connection call RunCount
+/// concurrently.
 class AdmissionController {
  public:
-  /// `scheduler` must outlive this controller.
+  /// `scheduler` is unused (pass nullptr); it remains only because
+  /// perfbench/ still passes one.
   AdmissionController(JobScheduler* scheduler,
                       const AdmissionOptions& options = {});
 
-  /// The admitted unit of work: computes one count. Runs on a scheduler
-  /// worker; must be safe to call concurrently with other queries (catalog
+  /// The admitted unit of work: computes one count. Runs on the caller's
+  /// thread; must be safe to call concurrently with other queries (catalog
   /// lookups are const reads over published releases).
   using CountFn = std::function<Result<double>()>;
 
-  /// Admits and executes one COUNT on behalf of `session`. Blocks until the
-  /// query completes or is rejected. Rejections:
-  ///  - ResourceExhausted (+retry-after): quota or queue full;
-  ///  - DeadlineExceeded: ran past the per-query deadline;
+  /// Admits and executes one COUNT on behalf of `session`; `label` names the
+  /// query in error messages. Rejections:
+  ///  - ResourceExhausted (+retry-after): tenant quota exhausted;
+  ///  - DeadlineExceeded: answered past the per-query deadline;
   ///  - any error `fn` returned (bad query, unknown dataset, ...).
-  /// When `timing` is non-null it receives the queue wait / run split for
-  /// every outcome that reached the scheduler (including timeouts).
+  /// When `timing` is non-null it receives the run time of every query that
+  /// passed the quota (including late ones).
   Result<double> RunCount(ClientSession& session, const std::string& label,
                           CountFn fn, AdmissionTiming* timing = nullptr);
 
  private:
-  JobScheduler* const scheduler_;
   const AdmissionOptions options_;
 };
 

@@ -78,12 +78,17 @@ Status WriteFrame(int fd, std::string_view payload) {
     return Status::InvalidArgument("frame payload exceeds 32-bit length");
   }
   uint32_t len = static_cast<uint32_t>(payload.size());
-  char header[4] = {static_cast<char>((len >> 24) & 0xFF),
-                    static_cast<char>((len >> 16) & 0xFF),
-                    static_cast<char>((len >> 8) & 0xFF),
-                    static_cast<char>(len & 0xFF)};
-  SECRETA_RETURN_IF_ERROR(SendAll(fd, header, sizeof(header)));
-  return SendAll(fd, payload.data(), payload.size());
+  // One send per frame: both ends set TCP_NODELAY, so a separate header
+  // send would go out as its own segment and wake the reader once for the
+  // header and, depending on timing, again for the payload.
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  frame.push_back(static_cast<char>((len >> 24) & 0xFF));
+  frame.push_back(static_cast<char>((len >> 16) & 0xFF));
+  frame.push_back(static_cast<char>((len >> 8) & 0xFF));
+  frame.push_back(static_cast<char>(len & 0xFF));
+  frame.append(payload);
+  return SendAll(fd, frame.data(), frame.size());
 }
 
 Status ReadFrame(int fd, size_t max_frame_bytes, std::string* payload,

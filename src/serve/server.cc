@@ -65,11 +65,11 @@ void SetReceiveTimeout(int fd, double seconds) {
 }  // namespace
 
 QueryServer::QueryServer(DatasetCatalog* catalog, TenantRegistry* tenants,
-                         JobScheduler* scheduler,
+                         JobScheduler* /*scheduler*/,
                          const ServerOptions& options)
     : catalog_(catalog),
       tenants_(tenants),
-      admission_(scheduler, options.admission),
+      admission_(nullptr, options.admission),
       options_(options) {}
 
 QueryServer::~QueryServer() { Stop(); }
@@ -333,8 +333,7 @@ void QueryServer::RecordCountTelemetry(ClientSession& session,
   }
   handles.count_seconds->Record(total_seconds);
 
-  const double threshold = options_.slow_query_threshold_seconds;
-  const bool slow = total_seconds >= threshold;
+  const bool slow = total_seconds >= options_.slow_query_threshold_seconds;
   const bool error = !status.ok();
   if (slow) handles.slow_queries->Increment();
 
@@ -353,29 +352,12 @@ void QueryServer::RecordCountTelemetry(ClientSession& session,
   trace.query_shape = QueryShape(request.query);
   trace.outcome = status.ok() ? "ok" : StatusCodeToString(status.code());
   trace.kernel_tier = kernels::ActiveTierName();
-  trace.queue_seconds = timing.queue_seconds;
   trace.run_seconds = timing.run_seconds;
   trace.total_seconds = total_seconds;
   trace.cached = cached;
   trace.slow = slow;
   trace.error = error;
-
-  SlowQueryLog& slow_log = SlowQueryLog::Global();
-  if (slow && slow_log.enabled()) {
-    SlowQueryRecord record;
-    record.trace_id = trace.trace_id;
-    record.tenant = trace.tenant;
-    record.dataset = trace.dataset;
-    record.query_shape = trace.query_shape;
-    record.outcome = trace.outcome;
-    record.kernel_tier = trace.kernel_tier;
-    record.queue_seconds = trace.queue_seconds;
-    record.run_seconds = trace.run_seconds;
-    record.total_seconds = trace.total_seconds;
-    record.threshold_seconds = threshold;
-    record.cached = trace.cached;
-    slow_log.Record(record);
-  }
+  if (slow) SlowQueryLog::Global().Record(trace);
   tail.Record(std::move(trace));
 }
 
@@ -443,31 +425,26 @@ Result<std::string> QueryServer::HandleRequest(const ServeRequest& request,
                              /*cached=*/false, frame_timer.ElapsedSeconds());
         return release.status();
       }
-      // The admission callback runs on a scheduler worker; the shared_ptrs
-      // keep the release (and the cached flag slot) alive even if this
-      // handler unwinds first.
-      auto cached = std::make_shared<bool>(false);
-      std::shared_ptr<const PublishedRelease> rel = std::move(*release);
-      std::string query_line = request.query;
+      // The count runs inline on this handler thread.
+      const PublishedRelease& rel = **release;
+      bool cached = false;
       Stopwatch timer;
       AdmissionTiming timing;
       Result<double> count = admission_.RunCount(
-          session,
-          StrFormat("serve:%s:%s", session.tenant().c_str(),
-                    request.dataset.c_str()),
-          [rel, query_line, access, cached]() -> Result<double> {
+          session, request.dataset,
+          [&]() -> Result<double> {
             SECRETA_ASSIGN_OR_RETURN(PublishedRelease::CountAnswer answer,
-                                     rel->CountLine(query_line, access));
-            *cached = answer.cached;
+                                     rel.CountLine(request.query, access));
+            cached = answer.cached;
             return answer.count;
           },
           &timing);
       session.RecordQuery(count.ok());
-      RecordCountTelemetry(session, request, count.status(), timing, *cached,
+      RecordCountTelemetry(session, request, count.status(), timing, cached,
                            frame_timer.ElapsedSeconds());
       if (!count.ok()) return count.status();
       return CountResponsePayload(request.id, *count,
-                                  AccessLevelToString(access), *cached,
+                                  AccessLevelToString(access), cached,
                                   timer.ElapsedSeconds());
     }
     case ServeOp::kHello:

@@ -4,15 +4,17 @@
 //   QueryServer (accept thread + per-connection handlers on a ThreadPool)
 //     └─ protocol.h   framing + request/response JSON
 //     └─ session.h    hello handshake → tenant auth → ClientSession
-//     └─ admission.h  quota / backpressure / deadline gates (JobScheduler)
+//     └─ admission.h  quota / deadline gates around each COUNT
 //     └─ catalog.h    DatasetCatalog → PublishedRelease::CountLine
 //
 // Threading model: one blocking accept thread plus a named handler pool.
 // Each connection occupies one pool worker for its lifetime (blocking reads
-// with an idle timeout). Connections beyond the pool size are answered with
-// a ResourceExhausted error frame and closed immediately instead of queueing
-// — a parked connection that nobody will serve is indistinguishable from a
-// hang to the client.
+// with an idle timeout) and answers its COUNTs inline on that worker, so
+// in-flight COUNTs never exceed max_connections. That connection cap is the
+// server's only backpressure: connections beyond it are answered with a
+// ResourceExhausted error frame carrying retry_after_ms and closed
+// immediately instead of queueing — a parked connection that nobody will
+// serve is indistinguishable from a hang to the client.
 //
 // Shutdown: Stop() flips the running flag, shuts the listen socket down (to
 // unblock accept), shuts down every live connection socket (to unblock
@@ -39,7 +41,6 @@
 #include "serve/catalog.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
-#include "service/job_scheduler.h"
 
 namespace secreta {
 
@@ -59,17 +60,18 @@ struct ServerOptions {
   size_t max_frame_bytes = kServeMaxFrameBytes;
   /// A COUNT whose end-to-end frame time reaches this is "slow": it is
   /// pinned in the tail-trace ring and, when a SlowQueryLog is open, written
-  /// there too. 0 marks every COUNT slow (useful for capture-everything
-  /// debugging and tests).
+  /// there too. The one slow-query threshold; 0 marks every COUNT slow
+  /// (useful for capture-everything debugging and tests).
   double slow_query_threshold_seconds = 0.25;
-  /// Admission knobs (per-query deadline, scheduler priority).
+  /// Admission knobs (per-query deadline).
   AdmissionOptions admission;
 };
 
 /// \brief Accepts connections and speaks the serve protocol. Thread-safe.
 ///
-/// Borrows the catalog, tenant registry, and scheduler — they outlive the
-/// server (the daemon owns all four and stops the server first).
+/// Borrows the catalog and tenant registry — they outlive the server (the
+/// daemon owns all three and stops the server first). `scheduler` is unused
+/// (pass nullptr); it remains only because perfbench/ still passes one.
 class QueryServer {
  public:
   QueryServer(DatasetCatalog* catalog, TenantRegistry* tenants,
@@ -107,8 +109,8 @@ class QueryServer {
                                     const Stopwatch& frame_timer);
   /// Records one COUNT outcome everywhere the telemetry pipeline looks:
   /// labeled request counter + latency histogram, the tail-trace ring, and
-  /// (when slow and a log is open) the slow-query JSONL log — all under one
-  /// freshly minted trace id.
+  /// (when slow and a log is open) the slow-query JSONL log — one
+  /// RequestTrace under one freshly minted trace id.
   void RecordCountTelemetry(ClientSession& session, const ServeRequest& request,
                             const Status& status, const AdmissionTiming& timing,
                             bool cached, double total_seconds);

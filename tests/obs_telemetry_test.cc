@@ -317,9 +317,9 @@ TEST(TraceTailTest, WriteJsonlRoundTripsThroughServeParser) {
 TEST(SlowQueryLogTest, DisabledLogIsANoOp) {
   SlowQueryLog log;
   EXPECT_FALSE(log.enabled());
-  SlowQueryRecord record;
-  record.trace_id = 7;
-  log.Record(record);  // silently dropped
+  RequestTrace trace;
+  trace.trace_id = 7;
+  log.Record(trace);  // silently dropped
   EXPECT_EQ(log.records_written(), 0u);
   log.Close();  // idempotent on a never-opened log
 }
@@ -327,22 +327,20 @@ TEST(SlowQueryLogTest, DisabledLogIsANoOp) {
 TEST(SlowQueryLogTest, WritesParsableJsonlRecords) {
   std::string path = ::testing::TempDir() + "/secreta_slow_queries.jsonl";
   SlowQueryLog log;
-  ASSERT_OK(log.Open(path, 0.25));
+  ASSERT_OK(log.Open(path));
   EXPECT_TRUE(log.enabled());
-  EXPECT_EQ(log.threshold_seconds(), 0.25);
 
-  SlowQueryRecord record;
-  record.trace_id = 42;
-  record.tenant = "analyst";
-  record.dataset = "demo";
-  record.query_shape = "Age:*;items:*";
-  record.kernel_tier = "scalar";
-  record.queue_seconds = 0.01;
-  record.run_seconds = 0.3;
-  record.total_seconds = 0.32;
-  record.threshold_seconds = 0.25;
-  record.cached = false;
-  log.Record(record);
+  RequestTrace trace;
+  trace.trace_id = 42;
+  trace.tenant = "analyst";
+  trace.dataset = "demo";
+  trace.query_shape = "Age:*;items:*";
+  trace.kernel_tier = "scalar";
+  trace.run_seconds = 0.3;
+  trace.total_seconds = 0.32;
+  trace.cached = false;
+  trace.slow = true;
+  log.Record(trace);
   EXPECT_EQ(log.records_written(), 1u);
   log.Close();
   EXPECT_FALSE(log.enabled());
@@ -360,8 +358,8 @@ TEST(SlowQueryLogTest, WritesParsableJsonlRecords) {
   EXPECT_EQ(shape, "Age:*;items:*");
   ASSERT_OK_AND_ASSIGN(double total, row.GetNumber("total_seconds"));
   EXPECT_NEAR(total, 0.32, 1e-9);
-  ASSERT_OK_AND_ASSIGN(double threshold, row.GetNumber("threshold_seconds"));
-  EXPECT_NEAR(threshold, 0.25, 1e-9);
+  // The log line is the trace's own JSONL row, field for field.
+  EXPECT_EQ(line, RequestTraceToJsonLine(trace));
   EXPECT_FALSE(std::getline(in, line));  // exactly one record
   std::remove(path.c_str());
 }

@@ -1,7 +1,7 @@
 // Serving-subsystem tests: the hardened JSON parser, wire framing over real
 // sockets (partial reads, truncation, oversized frames, mid-request
-// disconnects), tenants/quotas/access levels, admission control riding the
-// JobScheduler (backpressure retry-after, deadlines), the publication
+// disconnects), tenants/quotas/access levels, admission control (quota
+// retry-after, deadlines), connection-capacity backpressure, the publication
 // catalog (counts bit-identical to the scan oracles, answer LRU, versioned
 // republication), a full client/server round trip over loopback, fault
 // injection at serve.request, and an 8-client concurrency hammer whose
@@ -31,6 +31,8 @@
 #include "hierarchy/hierarchy_builder.h"
 #include "query/query_evaluator.h"
 #include "query/workload_generator.h"
+#include "obs/metric_names.h"
+#include "obs/metrics_registry.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace_tail.h"
 #include "robust/fault_injection.h"
@@ -42,7 +44,6 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "service/job_scheduler.h"
 #include "tests/test_util.h"
 
 namespace secreta {
@@ -298,7 +299,7 @@ TEST(ServeSessionTest, RegistryAuthenticatesAndRejects) {
 }
 
 // ---------------------------------------------------------------------------
-// ServeAdmissionTest — quota/backpressure/deadline gates on the scheduler.
+// ServeAdmissionTest — quota and deadline gates around an inline count.
 
 std::shared_ptr<ClientSession> UnlimitedSession() {
   TenantConfig config;
@@ -308,8 +309,7 @@ std::shared_ptr<ClientSession> UnlimitedSession() {
 }
 
 TEST(ServeAdmissionTest, RunsTheCallbackAndReturnsItsValue) {
-  JobScheduler scheduler;
-  AdmissionController admission(&scheduler);
+  AdmissionController admission(nullptr);
   auto session = UnlimitedSession();
   ASSERT_OK_AND_ASSIGN(
       double count,
@@ -324,8 +324,7 @@ TEST(ServeAdmissionTest, RunsTheCallbackAndReturnsItsValue) {
 }
 
 TEST(ServeAdmissionTest, QuotaRejectionCarriesRetryAfter) {
-  JobScheduler scheduler;
-  AdmissionController admission(&scheduler);
+  AdmissionController admission(nullptr);
   TenantConfig config;
   config.name = "throttled";
   config.quota_qps = 0.001;  // effectively one query per session
@@ -343,49 +342,10 @@ TEST(ServeAdmissionTest, QuotaRejectionCarriesRetryAfter) {
   EXPECT_TRUE(rejected.status().has_retry_after());
 }
 
-TEST(ServeAdmissionTest, SchedulerBackpressureCarriesRetryAfter) {
-  SchedulerOptions options;
-  options.num_workers = 1;
-  options.max_queue = 1;  // one running job + one queued job, no more
-  JobScheduler scheduler(options);
-  AdmissionController admission(&scheduler);
-  auto session = UnlimitedSession();
-
-  // Occupy the only worker with a job that blocks until released, then fill
-  // the single queue slot behind it.
-  std::atomic<bool> release{false};
-  JobScheduler::JobFn blocker_fn =
-      [&release](const CancellationToken&) -> Result<EvaluationReport> {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return EvaluationReport{};
-  };
-  ASSERT_OK_AND_ASSIGN(uint64_t blocker,
-                       scheduler.SubmitFn(blocker_fn, "blocker"));
-  while (scheduler.num_running() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_OK_AND_ASSIGN(uint64_t filler,
-                       scheduler.SubmitFn(blocker_fn, "queue filler"));
-
-  Result<double> rejected =
-      admission.RunCount(*session, "q", [] { return Result<double>(1.0); });
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(rejected.status().has_retry_after())
-      << rejected.status().ToString();
-
-  release.store(true);
-  ASSERT_OK(scheduler.WaitJob(blocker).status());
-  ASSERT_OK(scheduler.WaitJob(filler).status());
-}
-
 TEST(ServeAdmissionTest, DeadlineMapsToDeadlineExceeded) {
-  JobScheduler scheduler;
   AdmissionOptions options;
   options.default_deadline_seconds = 0.05;
-  AdmissionController admission(&scheduler, options);
+  AdmissionController admission(nullptr, options);
   auto session = UnlimitedSession();
   Result<double> timed_out =
       admission.RunCount(*session, "slow", []() -> Result<double> {
@@ -558,14 +518,13 @@ class ServeServerTest : public ::testing::Test {
 
   void StartServer(ServerOptions options = {}) {
     options.port = 0;
-    server_ = std::make_unique<QueryServer>(&catalog_, &tenants_, &scheduler_,
+    server_ = std::make_unique<QueryServer>(&catalog_, &tenants_, nullptr,
                                             options);
     ASSERT_OK(server_->Start());
   }
 
   DatasetCatalog catalog_;
   TenantRegistry tenants_;
-  JobScheduler scheduler_;
   std::unique_ptr<QueryServer> server_;
 };
 
@@ -692,6 +651,43 @@ TEST_F(ServeServerTest, QuotaExhaustionReturnsRetryAfter) {
   EXPECT_TRUE(rejected.status().has_retry_after());
   // Rejected queries do not kill the session.
   EXPECT_OK(client.Ping());
+}
+
+TEST_F(ServeServerTest, ConnectionBeyondCapacityGetsRetryAfter) {
+  ServerOptions options;
+  options.max_connections = 2;
+  StartServer(options);
+  // Fill every connection slot; a completed hello proves each one was
+  // accepted and holds a handler.
+  std::vector<std::unique_ptr<ServeClient>> held;
+  for (size_t i = 0; i < options.max_connections; ++i) {
+    held.push_back(std::make_unique<ServeClient>());
+    ASSERT_OK(held.back()->Connect("127.0.0.1", server_->port()));
+    ASSERT_OK(held.back()->Hello("analyst-token"));
+  }
+  Counter* rejected_busy =
+      MetricsRegistry::Global().counter(metric_names::kServeRejectedBusy);
+  const uint64_t rejected_before = rejected_busy->value();
+
+  // One connection too many is refused with a typed frame, unprompted: the
+  // server writes it right after accept and hangs up.
+  RawConnection extra;
+  ASSERT_TRUE(extra.Connect(server_->port()));
+  std::string payload;
+  bool clean_eof = false;
+  ASSERT_OK(ReadFrame(extra.fd(), kServeMaxFrameBytes, &payload, &clean_eof));
+  ASSERT_FALSE(clean_eof);
+  Result<ServeResponse> refused = ParseServeResponse(payload);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(refused.status().has_retry_after())
+      << refused.status().ToString();
+  EXPECT_GT(rejected_busy->value(), rejected_before);
+
+  // The held connections are unaffected.
+  for (auto& client : held) {
+    EXPECT_OK(client->Count("demo", "Age:25..40").status());
+  }
 }
 
 TEST_F(ServeServerTest, GarbageJsonGetsTypedErrorAndConnectionSurvives) {
@@ -839,7 +835,7 @@ TEST_F(ServeServerTest, ErroredRequestsArePinnedIntoTheTail) {
 TEST_F(ServeServerTest, SlowQueryLogSharesTraceIdsWithTailRing) {
   TraceTail::Global().Clear();
   std::string path = ::testing::TempDir() + "/secreta_serve_slow.jsonl";
-  ASSERT_OK(SlowQueryLog::Global().Open(path, 0));  // everything is "slow"
+  ASSERT_OK(SlowQueryLog::Global().Open(path));
   ServerOptions options;
   options.slow_query_threshold_seconds = 0;
   StartServer(options);
@@ -945,7 +941,7 @@ TEST_F(ServeServerTest, InjectedDelayLandsInSlowLogAndTailWithOneTraceId) {
   }
   TraceTail::Global().Clear();
   std::string path = ::testing::TempDir() + "/secreta_serve_delay.jsonl";
-  ASSERT_OK(SlowQueryLog::Global().Open(path, 0.05));
+  ASSERT_OK(SlowQueryLog::Global().Open(path));
   ServerOptions options;
   options.slow_query_threshold_seconds = 0.05;
   StartServer(options);
@@ -998,14 +994,10 @@ TEST(ServeConcurrencyTest, EightClientsMatchSerialReference) {
   tenant.name = "hammer";
   tenant.token = "hammer-token";
   ASSERT_OK(tenants.AddTenant(tenant));
-  SchedulerOptions scheduler_options;
-  scheduler_options.num_workers = 4;
-  scheduler_options.max_queue = 1024;
-  JobScheduler scheduler(scheduler_options);
   ServerOptions options;
   options.max_connections = 9;
   options.admission.default_deadline_seconds = 30;
-  QueryServer server(&catalog, &tenants, &scheduler, options);
+  QueryServer server(&catalog, &tenants, nullptr, options);
   ASSERT_OK(server.Start());
 
   const std::vector<std::string> queries = {

@@ -18,6 +18,13 @@ stays a short, reviewed list:
                       anonymizes before anything escapes). Every other serve
                       file sees released data only through catalog.h.
 
+  serve-service-include
+                      Files under src/serve/ must not include a src/service/
+                      header. COUNTs are answered inline on the connection
+                      handler; the batch job service (JobScheduler) sits
+                      beside the serving layer, not under it, and its
+                      headers pull the evaluator into serve/ transitively.
+
   obs-no-sensitive    src/obs/ (metrics, traces, slow-query log, Prometheus
                       text) must never reach common/sensitive.h through the
                       include graph, transitively, and must never spell
@@ -203,6 +210,13 @@ def check_file(root: Path, path: Path, rel: str,
                     f"{rel}:{lineno}: serve-raw-include: serve/ sees "
                     f'released data only through serve/catalog.h; including '
                     f'"{m.group(1)}" here bypasses the privacy boundary')
+
+        if (m and is_serve and m.group(1).startswith("service/")
+                and not allowed(raw, "serve-service-include")):
+            errors.append(
+                f"{rel}:{lineno}: serve-service-include: serve/ must not "
+                f'depend on the batch job service; "{m.group(1)}" '
+                "belongs beside the serving layer, not under it")
 
         if is_obs:
             if m and m.group(1) == SENSITIVE_HEADER:

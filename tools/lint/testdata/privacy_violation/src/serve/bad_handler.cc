@@ -4,6 +4,7 @@
 // every seeded violation below is reported — proving the linter is live.
 
 #include "data/dataset.h"  // serve-raw-include: bypasses serve/catalog.h
+#include "service/job_scheduler.h"  // serve-service-include: batch layer
 
 #include <string>
 
