@@ -45,8 +45,11 @@ inline bool StartsWith(std::string_view text, std::string_view prefix) {
 
 /// 64-bit FNV-1a hash. Stable across runs, platforms and standard-library
 /// implementations (unlike std::hash), so it is safe to use for
-/// content-addressed cache keys and persisted fingerprints.
-uint64_t Fnv1a64(std::string_view input);
+/// content-addressed cache keys and persisted fingerprints. Passing the hash
+/// of a prefix as `hash` continues it: Fnv1a64(b, Fnv1a64(a)) ==
+/// Fnv1a64(a + b).
+uint64_t Fnv1a64(std::string_view input,
+                 uint64_t hash = 0xcbf29ce484222325ULL);
 
 /// Combines two 64-bit hashes order-dependently (boost::hash_combine-style).
 uint64_t HashCombine(uint64_t seed, uint64_t value);

@@ -1,6 +1,6 @@
 #include "robust/checkpoint.h"
 
-#include <cstdlib>
+#include <array>
 
 #include "common/string_util.h"
 #include "service/result_cache.h"
@@ -9,24 +9,35 @@ namespace secreta {
 
 namespace {
 
-constexpr const char* kMagic = "secreta-checkpoint";
-constexpr const char* kVersion = "v1";
+constexpr RecordLogFormat kFormat = {"sweep", "point"};
 
-// Metric fields of one record, in serialization order. "runtime" maps to
-// run.runtime_seconds; everything else is a direct EvaluationReport field.
-constexpr const char* kMetricOrder[] = {
-    "gcp",        "ul",           "are",       "discernibility",
-    "cavg",       "item_freq_error", "entropy_loss", "kl_relational",
-    "kl_items",   "suppressed",   "runtime",   "evaluation_seconds",
-    "queries_per_second"};
-constexpr size_t kNumMetrics = sizeof(kMetricOrder) / sizeof(kMetricOrder[0]);
+// A report's fixed fields by type, in record order after the key and the
+// sweep value. `Report` is EvaluationReport or const EvaluationReport.
+template <typename Report>
+auto Metrics(Report& r) {
+  return std::array{&r.gcp, &r.ul, &r.are, &r.discernibility, &r.cavg,
+                    &r.item_freq_error, &r.entropy_loss, &r.kl_relational,
+                    &r.kl_items, &r.suppressed, &r.run.runtime_seconds,
+                    &r.evaluation_seconds, &r.queries_per_second};
+}
+template <typename Report>
+auto Counts(Report& r) {
+  return std::array{&r.run.initial_clusters, &r.run.final_clusters,
+                    &r.run.merges};
+}
+template <typename Report>
+auto Flags(Report& r) {
+  return std::array{&r.guarantee_checked, &r.guarantee_ok, &r.degraded};
+}
+template <typename Report>
+auto Texts(Report& r) {
+  return std::array{&r.guarantee_name, &r.degraded_detail};
+}
 
-// Records are tab-separated; strings are percent-escaped so every field is a
-// single tab-free, newline-free token (empty strings stay empty tokens —
-// Split preserves them).
+// Strings are percent-escaped so every field is a single tab-free,
+// newline-free head field (empty strings stay empty fields).
 std::string EscapeField(const std::string& raw) {
   std::string out;
-  out.reserve(raw.size());
   for (char c : raw) {
     if (c == '%' || c == '\t' || c == '\n' || c == '\r') {
       out += StrFormat("%%%02x", static_cast<unsigned char>(c));
@@ -37,158 +48,80 @@ std::string EscapeField(const std::string& raw) {
   return out;
 }
 
-int HexNibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
 bool UnescapeField(const std::string& field, std::string* out) {
   out->clear();
-  out->reserve(field.size());
   for (size_t i = 0; i < field.size(); ++i) {
-    if (field[i] != '%') {
-      *out += field[i];
-      continue;
+    uint64_t byte = static_cast<unsigned char>(field[i]);
+    if (field[i] == '%') {
+      if (i + 2 >= field.size() ||
+          !DecodeU64(field.substr(i + 1, 2), &byte, 16) || byte > 0xff) {
+        return false;
+      }
+      i += 2;
     }
-    if (i + 2 >= field.size()) return false;
-    int hi = HexNibble(field[i + 1]);
-    int lo = HexNibble(field[i + 2]);
-    if (hi < 0 || lo < 0) return false;
-    *out += static_cast<char>(hi * 16 + lo);
-    i += 2;
+    *out += static_cast<char>(byte);
   }
   return true;
 }
 
-// Doubles round-trip exactly through C99 hex-float notation; "%a"/strtod is
-// the only printf/scanf pair that guarantees bit-identical restoration
-// (JsonWriter's %.12g does not).
-std::string EncodeDouble(double value) { return StrFormat("%a", value); }
-
-bool DecodeDouble(const std::string& field, double* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(field.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-bool DecodeU64Hex(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(field.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
-
-bool DecodeU64(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(field.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-// Field `index` of kMetricOrder within a report, for serialization
-// (read via the const overload below) and restoration.
-double* MetricSlot(EvaluationReport* report, size_t index) {
-  switch (index) {
-    case 0:
-      return &report->gcp;
-    case 1:
-      return &report->ul;
-    case 2:
-      return &report->are;
-    case 3:
-      return &report->discernibility;
-    case 4:
-      return &report->cavg;
-    case 5:
-      return &report->item_freq_error;
-    case 6:
-      return &report->entropy_loss;
-    case 7:
-      return &report->kl_relational;
-    case 8:
-      return &report->kl_items;
-    case 9:
-      return &report->suppressed;
-    case 10:
-      return &report->run.runtime_seconds;
-    case 11:
-      return &report->evaluation_seconds;
-    case 12:
-      return &report->queries_per_second;
+// Head fields of one point record (the record has no body lines).
+std::vector<std::string> SerializeRecord(uint64_t key, double value,
+                                         const EvaluationReport& report) {
+  std::vector<std::string> fields = {EncodeU64Hex(key), EncodeDouble(value)};
+  for (const double* metric : Metrics(report)) {
+    fields.push_back(EncodeDouble(*metric));
   }
-  return nullptr;
-}
-
-double MetricValue(const EvaluationReport& report, size_t index) {
-  return *MetricSlot(const_cast<EvaluationReport*>(&report), index);
-}
-
-std::string SerializeRecord(uint64_t key, double value,
-                            const EvaluationReport& report) {
-  std::vector<std::string> fields;
-  fields.push_back("point");
-  fields.push_back(StrFormat("%016llx", static_cast<unsigned long long>(key)));
-  fields.push_back(EncodeDouble(value));
-  for (size_t i = 0; i < kNumMetrics; ++i) {
-    fields.push_back(EncodeDouble(MetricValue(report, i)));
+  for (const size_t* count : Counts(report)) {
+    fields.push_back(std::to_string(*count));
   }
-  fields.push_back(StrFormat("%llu", static_cast<unsigned long long>(
-                                         report.run.initial_clusters)));
-  fields.push_back(StrFormat(
-      "%llu", static_cast<unsigned long long>(report.run.final_clusters)));
-  fields.push_back(
-      StrFormat("%llu", static_cast<unsigned long long>(report.run.merges)));
-  fields.push_back(report.guarantee_checked ? "1" : "0");
-  fields.push_back(report.guarantee_ok ? "1" : "0");
-  fields.push_back(EscapeField(report.guarantee_name));
-  fields.push_back(report.degraded ? "1" : "0");
-  fields.push_back(EscapeField(report.degraded_detail));
+  for (const bool* flag : Flags(report)) fields.push_back(*flag ? "1" : "0");
+  for (const std::string* text : Texts(report)) {
+    fields.push_back(EscapeField(*text));
+  }
   const auto& phases = report.run.phases.phases();
-  fields.push_back(
-      StrFormat("%llu", static_cast<unsigned long long>(phases.size())));
+  fields.push_back(std::to_string(phases.size()));
   for (const auto& [name, seconds] : phases) {
     fields.push_back(EscapeField(name));
     fields.push_back(EncodeDouble(seconds));
   }
-  return Join(fields, "\t");
+  return fields;
 }
 
-bool ParseRecord(const std::string& line, uint64_t* key, double* value,
-                 EvaluationReport* report) {
-  std::vector<std::string> fields = Split(line, '\t');
-  // point + key + value + metrics + 3 cluster counts + 2 guarantee flags +
-  // name + degraded flag + detail + phase count.
-  constexpr size_t kFixed = 3 + kNumMetrics + 3 + 2 + 1 + 2 + 1;
-  if (fields.size() < kFixed || fields[0] != "point") return false;
-  size_t at = 1;
-  if (!DecodeU64Hex(fields[at++], key)) return false;
-  if (!DecodeDouble(fields[at++], value)) return false;
-  for (size_t i = 0; i < kNumMetrics; ++i) {
-    if (!DecodeDouble(fields[at++], MetricSlot(report, i))) return false;
+bool ParseRecord(const std::vector<std::string>& fields, uint64_t* key,
+                 double* value, EvaluationReport* report) {
+  // key + value + fixed report fields + phase count, then the phases.
+  const size_t fixed = 3 + Metrics(*report).size() + Counts(*report).size() +
+                       Flags(*report).size() + Texts(*report).size();
+  if (fields.size() < fixed) return false;
+  size_t at = 0;
+  if (!DecodeU64(fields[at++], key, 16) ||
+      !DecodeDouble(fields[at++], value)) {
+    return false;
   }
-  uint64_t clusters = 0;
-  if (!DecodeU64(fields[at++], &clusters)) return false;
-  report->run.initial_clusters = clusters;
-  if (!DecodeU64(fields[at++], &clusters)) return false;
-  report->run.final_clusters = clusters;
-  if (!DecodeU64(fields[at++], &clusters)) return false;
-  report->run.merges = clusters;
-  report->guarantee_checked = fields[at++] == "1";
-  report->guarantee_ok = fields[at++] == "1";
-  if (!UnescapeField(fields[at++], &report->guarantee_name)) return false;
-  report->degraded = fields[at++] == "1";
-  if (!UnescapeField(fields[at++], &report->degraded_detail)) return false;
+  for (double* metric : Metrics(*report)) {
+    if (!DecodeDouble(fields[at++], metric)) return false;
+  }
+  for (size_t* count : Counts(*report)) {
+    uint64_t decoded = 0;
+    if (!DecodeU64(fields[at++], &decoded)) return false;
+    *count = static_cast<size_t>(decoded);
+  }
+  for (bool* flag : Flags(*report)) *flag = fields[at++] == "1";
+  for (std::string* text : Texts(*report)) {
+    if (!UnescapeField(fields[at++], text)) return false;
+  }
   uint64_t num_phases = 0;
-  if (!DecodeU64(fields[at++], &num_phases)) return false;
-  if (fields.size() != kFixed + 2 * num_phases) return false;
+  if (!DecodeU64(fields[at++], &num_phases) ||
+      fields.size() != fixed + 2 * num_phases) {
+    return false;
+  }
   for (uint64_t i = 0; i < num_phases; ++i) {
     std::string name;
     double seconds = 0;
-    if (!UnescapeField(fields[at++], &name)) return false;
-    if (!DecodeDouble(fields[at++], &seconds)) return false;
+    if (!UnescapeField(fields[at++], &name) ||
+        !DecodeDouble(fields[at++], &seconds)) {
+      return false;
+    }
     report->run.phases.Add(name, seconds);
   }
   return true;
@@ -198,68 +131,23 @@ bool ParseRecord(const std::string& line, uint64_t* key, double* value,
 
 Result<std::unique_ptr<CheckpointLog>> CheckpointLog::Open(
     const std::string& path, uint64_t dataset_fp, uint64_t workload_fp) {
-  std::unique_ptr<CheckpointLog> log(
-      new CheckpointLog(path, dataset_fp, workload_fp));
-  // The log is not published yet, but records_/out_ are guarded fields:
-  // take the (uncontended) lock so the load phase satisfies the
-  // thread-safety analysis instead of opting out of it.
-  MutexLock lock(log->mutex_);
-  bool have_header = false;
-  {
-    std::ifstream in(path);
-    std::string line;
-    if (in && std::getline(in, line)) {
-      std::vector<std::string> header = Split(line, '\t');
-      uint64_t file_ds = 0;
-      uint64_t file_wl = 0;
-      if (header.size() != 4 || header[0] != kMagic ||
-          header[1] != kVersion || !DecodeU64Hex(header[2], &file_ds) ||
-          !DecodeU64Hex(header[3], &file_wl)) {
-        return Status::FailedPrecondition(
-            path + " is not a " + std::string(kVersion) +
-            " secreta checkpoint; delete it to start over");
-      }
-      if (file_ds != dataset_fp || file_wl != workload_fp) {
-        return Status::FailedPrecondition(StrFormat(
-            "checkpoint %s was written for a different dataset/workload "
-            "(recorded %016llx/%016llx, current %016llx/%016llx)",
-            path.c_str(), static_cast<unsigned long long>(file_ds),
-            static_cast<unsigned long long>(file_wl),
-            static_cast<unsigned long long>(dataset_fp),
-            static_cast<unsigned long long>(workload_fp)));
-      }
-      have_header = true;
-      while (std::getline(in, line)) {
-        uint64_t key = 0;
-        Record record;
-        if (!ParseRecord(line, &key, &record.value, &record.report)) {
-          // Truncated trailing record (killed mid-append): the point simply
-          // reruns. Anything after it is unreachable progress either way.
-          break;
-        }
-        log->records_[key] = std::move(record);
-        ++log->loaded_;
-      }
-    }
-  }
-  log->out_.open(path, std::ios::app);
-  if (!log->out_) {
-    return Status::IOError("cannot open checkpoint for append: " + path);
-  }
-  if (!have_header) {
-    log->out_ << kMagic << '\t' << kVersion << '\t'
-              << StrFormat("%016llx",
-                           static_cast<unsigned long long>(dataset_fp))
-              << '\t'
-              << StrFormat("%016llx",
-                           static_cast<unsigned long long>(workload_fp))
-              << '\n'
-              << std::flush;
-    if (!log->out_) {
-      return Status::IOError("cannot write checkpoint header: " + path);
-    }
-  }
-  return log;
+  std::unordered_map<uint64_t, Record> records;
+  auto load = [&records](const std::vector<std::string>& fields,
+                         const RecordRef&) {
+    uint64_t key = 0;
+    Record record;
+    bool ok = ParseRecord(fields, &key, &record.value, &record.report);
+    if (ok) records[key] = std::move(record);
+    return ok;
+  };
+  SECRETA_ASSIGN_OR_RETURN(
+      std::unique_ptr<RecordLog> log,
+      RecordLog::Open(path, kFormat, {dataset_fp, workload_fp}, load));
+  std::unique_ptr<CheckpointLog> checkpoint(new CheckpointLog(
+      std::move(log), dataset_fp, workload_fp, records.size()));
+  MutexLock lock(checkpoint->mutex_);
+  checkpoint->records_ = std::move(records);
+  return checkpoint;
 }
 
 uint64_t CheckpointLog::PointKey(const AlgorithmConfig& point_config,
@@ -287,16 +175,10 @@ bool CheckpointLog::Find(uint64_t key, EvaluationReport* report,
 
 Status CheckpointLog::Append(uint64_t key, double value,
                              const EvaluationReport& report) {
-  std::string line = SerializeRecord(key, value, report);
+  SECRETA_RETURN_IF_ERROR(
+      log_->Append(SerializeRecord(key, value, report)).status());
   MutexLock lock(mutex_);
-  out_ << line << '\n' << std::flush;
-  if (!out_) {
-    return Status::IOError("checkpoint append failed: " + path_);
-  }
-  Record record;
-  record.value = value;
-  record.report = report;
-  records_[key] = std::move(record);
+  records_[key] = Record{value, report};
   ++appended_;
   return Status::OK();
 }

@@ -1,32 +1,20 @@
-// Checkpoint/resume for sweeps and comparison grids. After every completed
-// sweep point (grid cell) the engine appends one fingerprinted record to a
-// checkpoint file; a restarted sweep opened against the same file skips the
-// recorded points, replaying their reports instead of recomputing them.
+// Checkpoint/resume for sweeps and comparison grids: the sweep codec over
+// RecordLog (robust/record_log.h). After every completed point (grid cell)
+// the engine appends one record; a restarted sweep opened against the same
+// file replays the recorded points instead of recomputing them.
 //
-// Records are keyed by the ResultCache's canonical run key (config hash x
-// dataset fingerprint x workload fingerprint) combined with the
-// configuration's grid index, so a checkpoint is only ever replayed for the
-// exact same work. The file header pins the dataset and workload
-// fingerprints; opening a checkpoint written for different inputs fails with
-// FailedPrecondition instead of silently mixing experiments.
-//
-// The format is line-based text, one record per line, flushed per append: a
-// process killed mid-sweep loses at most the in-flight point. Doubles are
-// stored as C99 hex-floats (printf %a), which round-trip exactly — a
+// Records are keyed by the ResultCache's run key combined with the grid
+// index, so a checkpoint only replays the exact same work; the header pins
+// the dataset and workload fingerprints. Doubles travel as hex-floats, so a
 // restored report serializes to byte-identical JSON for every
-// non-wall-clock field.
-//
-// Restored reports carry the full metric set, phase rows, cluster counts and
-// guarantee verdict, but not the recodings themselves (RunResult::relational
-// / ::transaction stay empty, exactly like a report replayed from the
-// ResultCache would after export): they replay and export bit-identically
-// but cannot be re-materialized into an anonymized dataset.
+// non-wall-clock field. Restored reports lack the recodings
+// (RunResult::relational / ::transaction stay empty, as after a ResultCache
+// replay): they export bit-identically but cannot be re-materialized.
 
 #ifndef SECRETA_ROBUST_CHECKPOINT_H_
 #define SECRETA_ROBUST_CHECKPOINT_H_
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -34,6 +22,7 @@
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "engine/evaluator.h"
+#include "robust/record_log.h"
 
 namespace secreta {
 
@@ -44,10 +33,10 @@ namespace secreta {
 class CheckpointLog {
  public:
   /// Opens (or creates) the checkpoint at `path` for a run over inputs with
-  /// the given fingerprints. Loads every complete record of an existing
-  /// file; a corrupt or truncated trailing line (killed mid-append) is
-  /// dropped silently. Fails with FailedPrecondition when the file was
-  /// written for different fingerprints.
+  /// the given fingerprints. Loads every committed record of an existing
+  /// file; a torn trailing record (killed mid-append) is cut off. Fails with
+  /// FailedPrecondition when the file was written for different
+  /// fingerprints.
   static Result<std::unique_ptr<CheckpointLog>> Open(const std::string& path,
                                                      uint64_t dataset_fp,
                                                      uint64_t workload_fp);
@@ -74,7 +63,7 @@ class CheckpointLog {
 
   uint64_t dataset_fingerprint() const { return dataset_fp_; }
   uint64_t workload_fingerprint() const { return workload_fp_; }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_->path(); }
   /// Records loaded from the file at Open time (pre-crash progress).
   size_t loaded() const { return loaded_; }
   /// Records appended through this instance.
@@ -86,19 +75,20 @@ class CheckpointLog {
     EvaluationReport report;
   };
 
-  CheckpointLog(std::string path, uint64_t dataset_fp, uint64_t workload_fp)
-      : path_(std::move(path)),
+  CheckpointLog(std::unique_ptr<RecordLog> log, uint64_t dataset_fp,
+                uint64_t workload_fp, size_t loaded)
+      : log_(std::move(log)),
         dataset_fp_(dataset_fp),
-        workload_fp_(workload_fp) {}
+        workload_fp_(workload_fp),
+        loaded_(loaded) {}
 
-  const std::string path_;
+  const std::unique_ptr<RecordLog> log_;
   const uint64_t dataset_fp_;
   const uint64_t workload_fp_;
-  size_t loaded_ = 0;
+  const size_t loaded_;
 
   mutable Mutex mutex_;
   std::unordered_map<uint64_t, Record> records_ SECRETA_GUARDED_BY(mutex_);
-  std::ofstream out_ SECRETA_GUARDED_BY(mutex_);
   size_t appended_ SECRETA_GUARDED_BY(mutex_) = 0;
 };
 

@@ -1,165 +1,44 @@
 #include "robust/shard_checkpoint.h"
 
-#include <cstdlib>
-
 #include "common/string_util.h"
 
 namespace secreta {
 
 namespace {
 
-constexpr const char* kMagic = "secreta-shard-checkpoint";
-constexpr const char* kVersion = "v1";
-
-std::string U64Hex(uint64_t v) {
-  return StrFormat("%016llx", static_cast<unsigned long long>(v));
-}
-
-bool DecodeU64Hex(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(field.c_str(), &end, 16);
-  return end != nullptr && *end == '\0';
-}
-
-bool DecodeU64(const std::string& field, uint64_t* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(field.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-// Doubles round-trip exactly through C99 hex-floats, same as CheckpointLog.
-std::string EncodeDouble(double value) { return StrFormat("%a", value); }
-
-bool DecodeDouble(const std::string& field, double* out) {
-  if (field.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(field.c_str(), &end);
-  return end != nullptr && *end == '\0';
-}
-
-// The "done" line pins an FNV-1a over the payload, folded incrementally so
-// neither load nor verification has to hold the block in memory.
-uint64_t PayloadSeed() { return Fnv1a64("shard-payload"); }
-
-uint64_t FoldPayloadRow(uint64_t fp, uint32_t row, const std::string& line) {
-  fp = HashCombine(fp, static_cast<uint64_t>(row));
-  return HashCombine(fp, Fnv1a64(line));
-}
-
-bool ParsePayloadLine(const std::string& line, uint32_t* row,
-                      std::string* csv) {
-  size_t tab = line.find('\t');
-  uint64_t value = 0;
-  if (tab == std::string::npos || !DecodeU64(line.substr(0, tab), &value) ||
-      value > 0xffffffffull) {
-    return false;
-  }
-  *row = static_cast<uint32_t>(value);
-  *csv = line.substr(tab + 1);
-  return true;
-}
+constexpr RecordLogFormat kFormat = {"shard", "shard"};
 
 }  // namespace
 
 Result<std::unique_ptr<ShardCheckpoint>> ShardCheckpoint::Open(
     const std::string& path, uint64_t run_key, uint64_t dataset_fp,
     uint64_t plan_fp) {
-  std::unique_ptr<ShardCheckpoint> log(
-      new ShardCheckpoint(path, run_key, dataset_fp, plan_fp));
-  MutexLock lock(log->mutex_);
-  bool have_header = false;
-  {
-    std::ifstream in(path);
-    std::string line;
-    if (in && std::getline(in, line)) {
-      std::vector<std::string> header = Split(line, '\t');
-      uint64_t file_run = 0;
-      uint64_t file_ds = 0;
-      uint64_t file_plan = 0;
-      if (header.size() != 5 || header[0] != kMagic ||
-          header[1] != kVersion || !DecodeU64Hex(header[2], &file_run) ||
-          !DecodeU64Hex(header[3], &file_ds) ||
-          !DecodeU64Hex(header[4], &file_plan)) {
-        return Status::FailedPrecondition(
-            path + " is not a " + std::string(kVersion) +
-            " secreta shard checkpoint; delete it to start over");
-      }
-      if (file_run != run_key || file_ds != dataset_fp ||
-          file_plan != plan_fp) {
-        return Status::FailedPrecondition(StrFormat(
-            "shard checkpoint %s was written for a different "
-            "run/dataset/partition (recorded %s/%s/%s, current %s/%s/%s)",
-            path.c_str(), U64Hex(file_run).c_str(), U64Hex(file_ds).c_str(),
-            U64Hex(file_plan).c_str(), U64Hex(run_key).c_str(),
-            U64Hex(dataset_fp).c_str(), U64Hex(plan_fp).c_str()));
-      }
-      have_header = true;
-      // Shard blocks: "shard <s> <rows> <gcp> <secs>", then <rows> payload
-      // lines "<rowid>\t<csv>", then "done <s> <payload-fp>". Payload lines
-      // are folded into the fingerprint but NOT retained — only the offset
-      // of the first one is, for later ReadPayload() calls. A block without
-      // a valid done line is dropped along with everything after it (kill
-      // mid-append).
-      while (std::getline(in, line)) {
-        std::vector<std::string> head = SplitWhitespace(line);
-        uint64_t shard = 0;
-        uint64_t rows = 0;
-        Entry entry;
-        if (head.size() != 5 || head[0] != "shard" ||
-            !DecodeU64(head[1], &shard) || !DecodeU64(head[2], &rows) ||
-            !DecodeDouble(head[3], &entry.meta.gcp) ||
-            !DecodeDouble(head[4], &entry.meta.seconds)) {
-          break;
-        }
-        entry.meta.shard = static_cast<size_t>(shard);
-        entry.meta.num_rows = static_cast<size_t>(rows);
-        entry.offset = static_cast<std::streamoff>(in.tellg());
-        uint64_t fp = PayloadSeed();
-        bool ok = true;
-        for (uint64_t i = 0; i < rows; ++i) {
-          uint32_t row = 0;
-          std::string csv;
-          if (!std::getline(in, line) || !ParsePayloadLine(line, &row, &csv)) {
-            ok = false;
-            break;
-          }
-          fp = FoldPayloadRow(fp, row, csv);
-        }
-        if (!ok || !std::getline(in, line)) break;
-        std::vector<std::string> tail = SplitWhitespace(line);
-        uint64_t done_shard = 0;
-        uint64_t done_fp = 0;
-        if (tail.size() != 3 || tail[0] != "done" ||
-            !DecodeU64(tail[1], &done_shard) || done_shard != shard ||
-            !DecodeU64Hex(tail[2], &done_fp) || done_fp != fp) {
-          break;
-        }
-        entry.payload_fp = fp;
-        log->records_[entry.meta.shard] = entry;
-        ++log->loaded_;
-      }
+  // Head fields: "<shard> <gcp> <seconds>"; the body-line count is the
+  // shard's row count. Payload rows are not kept: only where each record
+  // lives, for later ReadPayload() calls.
+  std::map<size_t, Entry> records;
+  auto load = [&records](const std::vector<std::string>& fields,
+                         const RecordRef& ref) {
+    uint64_t shard = 0;
+    ShardMeta meta;
+    if (fields.size() != 3 || !DecodeU64(fields[0], &shard) ||
+        !DecodeDouble(fields[1], &meta.gcp) ||
+        !DecodeDouble(fields[2], &meta.seconds)) {
+      return false;
     }
-  }
-  log->out_.open(path, std::ios::app);
-  if (!log->out_) {
-    return Status::IOError("cannot open shard checkpoint for append: " + path);
-  }
-  if (!have_header) {
-    log->out_ << kMagic << '\t' << kVersion << '\t' << U64Hex(run_key) << '\t'
-              << U64Hex(dataset_fp) << '\t' << U64Hex(plan_fp) << '\n'
-              << std::flush;
-    if (!log->out_) {
-      return Status::IOError("cannot write shard checkpoint header: " + path);
-    }
-  }
-  return log;
-}
-
-bool ShardCheckpoint::Has(size_t shard) const {
-  MutexLock lock(mutex_);
-  return records_.find(shard) != records_.end();
+    meta.shard = static_cast<size_t>(shard);
+    meta.num_rows = ref.body_lines;
+    records[meta.shard] = Entry{meta, ref};
+    return true;
+  };
+  SECRETA_ASSIGN_OR_RETURN(
+      std::unique_ptr<RecordLog> log,
+      RecordLog::Open(path, kFormat, {run_key, dataset_fp, plan_fp}, load));
+  std::unique_ptr<ShardCheckpoint> checkpoint(
+      new ShardCheckpoint(std::move(log), records.size()));
+  MutexLock lock(checkpoint->mutex_);
+  checkpoint->records_ = std::move(records);
+  return checkpoint;
 }
 
 bool ShardCheckpoint::FindMeta(size_t shard, ShardMeta* out) const {
@@ -177,40 +56,27 @@ Result<ShardRecord> ShardCheckpoint::ReadPayload(size_t shard) const {
     auto it = records_.find(shard);
     if (it == records_.end()) {
       return Status::NotFound(
-          StrFormat("shard %zu not in checkpoint %s", shard, path_.c_str()));
+          StrFormat("shard %zu not in checkpoint %s", shard, path().c_str()));
     }
     entry = it->second;
   }
-  std::ifstream in(path_);
-  if (!in) {
-    return Status::IOError("cannot reopen shard checkpoint: " + path_);
-  }
-  in.seekg(entry.offset);
-  ShardRecord record;
-  record.shard = entry.meta.shard;
-  record.gcp = entry.meta.gcp;
-  record.seconds = entry.meta.seconds;
+  ShardRecord record{entry.meta.shard, {}, {}, entry.meta.gcp,
+                     entry.meta.seconds};
   record.rows.reserve(entry.meta.num_rows);
   record.lines.reserve(entry.meta.num_rows);
-  uint64_t fp = PayloadSeed();
-  std::string line;
-  for (size_t i = 0; i < entry.meta.num_rows; ++i) {
-    uint32_t row = 0;
-    std::string csv;
-    if (!std::getline(in, line) || !ParsePayloadLine(line, &row, &csv)) {
-      return Status::IOError(StrFormat(
-          "shard checkpoint %s: shard %zu payload changed since load",
-          path_.c_str(), shard));
-    }
-    fp = FoldPayloadRow(fp, row, csv);
-    record.rows.push_back(row);
-    record.lines.push_back(std::move(csv));
-  }
-  if (fp != entry.payload_fp) {
-    return Status::IOError(StrFormat(
-        "shard checkpoint %s: shard %zu payload fingerprint mismatch",
-        path_.c_str(), shard));
-  }
+  // Payload lines are "<global row id>\t<anonymized CSV line>".
+  SECRETA_RETURN_IF_ERROR(
+      log_->ReadBody(entry.ref, [&record](const std::string& line) {
+        size_t tab = line.find('\t');
+        uint64_t row = 0;
+        if (tab == std::string::npos || !DecodeU64(line.substr(0, tab), &row) ||
+            row > 0xffffffffull) {
+          return false;
+        }
+        record.rows.push_back(static_cast<uint32_t>(row));
+        record.lines.emplace_back(line, tab + 1);
+        return true;
+      }));
   return record;
 }
 
@@ -218,36 +84,18 @@ Status ShardCheckpoint::Append(const ShardRecord& record) {
   if (record.rows.size() != record.lines.size()) {
     return Status::InvalidArgument("shard record rows/lines length mismatch");
   }
-  for (const std::string& l : record.lines) {
-    if (l.find('\n') != std::string::npos ||
-        l.find('\r') != std::string::npos) {
-      return Status::InvalidArgument("shard record lines must be single-line");
-    }
-  }
+  SECRETA_ASSIGN_OR_RETURN(
+      RecordRef ref,
+      log_->Append({std::to_string(record.shard), EncodeDouble(record.gcp),
+                    EncodeDouble(record.seconds)},
+                   record.rows.size(), [&record](size_t i, std::string* line) {
+                     line->append(std::to_string(record.rows[i]));
+                     line->push_back('\t');
+                     line->append(record.lines[i]);
+                   }));
   MutexLock lock(mutex_);
-  out_ << "shard " << record.shard << ' ' << record.rows.size() << ' '
-       << EncodeDouble(record.gcp) << ' ' << EncodeDouble(record.seconds)
-       << '\n'
-       << std::flush;
-  Entry entry;
-  entry.meta.shard = record.shard;
-  entry.meta.num_rows = record.rows.size();
-  entry.meta.gcp = record.gcp;
-  entry.meta.seconds = record.seconds;
-  // With std::ios::app every write lands at end-of-file, so after the head
-  // line the put position IS the offset of the first payload line.
-  entry.offset = static_cast<std::streamoff>(out_.tellp());
-  uint64_t fp = PayloadSeed();
-  for (size_t i = 0; i < record.rows.size(); ++i) {
-    out_ << record.rows[i] << '\t' << record.lines[i] << '\n';
-    fp = FoldPayloadRow(fp, record.rows[i], record.lines[i]);
-  }
-  entry.payload_fp = fp;
-  out_ << "done " << record.shard << ' ' << U64Hex(fp) << '\n' << std::flush;
-  if (!out_) {
-    return Status::IOError("shard checkpoint append failed: " + path_);
-  }
-  records_[record.shard] = entry;
+  records_[record.shard] = Entry{
+      {record.shard, record.rows.size(), record.gcp, record.seconds}, ref};
   return Status::OK();
 }
 

@@ -1,30 +1,16 @@
-// Checkpoint/resume for sharded anonymization runs. Where CheckpointLog
-// records one evaluation report per (config, grid, shard) key, a sharded
-// run also needs the *output rows* of every completed shard back — the
-// merged release must come out byte-identical after a crash, and shard
-// outputs are not derivable from a report. ShardCheckpoint therefore
-// persists, per completed shard: the global row ids, the anonymized CSV
-// line of every row, and the shard's aggregate stats.
-//
-// Payloads stay on disk. Only per-shard metadata (stats, row count,
-// payload fingerprint, file offset) is held in memory; ReadPayload() seeks
-// and re-reads one shard's block on demand. That keeps the resident
-// footprint of a resumed 1M-record run at one shard, which is the whole
-// point of sharding (see docs/OPERATIONS.md "Out-of-core & sharded runs").
-//
-// The header pins (run key, dataset fingerprint, shard-plan fingerprint);
-// opening against a file written for a different run, dataset or partition
-// fails with FailedPrecondition. Each shard block ends with a "done" line
-// carrying an FNV-1a of the block payload: a process killed mid-append
-// leaves a block without a valid "done" line, which is dropped on load
-// (together with anything after it), so resume recomputes exactly the
-// unfinished shards. Line-based text, flushed per shard, like CheckpointLog.
+// Checkpoint/resume for sharded runs: the shard codec over RecordLog
+// (robust/record_log.h). A byte-identical merge after a crash needs every
+// completed shard's output rows back, not just its stats, so each record
+// holds one shard's global row ids and anonymized CSV lines as body lines.
+// Only per-shard stats and record locations stay in memory; ReadPayload()
+// re-reads one shard on demand, keeping a resumed 1M-record merge
+// shard-sized (docs/OPERATIONS.md "Out-of-core & sharded runs"). The header
+// pins the run key, dataset fingerprint and shard-plan fingerprint.
 
 #ifndef SECRETA_ROBUST_SHARD_CHECKPOINT_H_
 #define SECRETA_ROBUST_SHARD_CHECKPOINT_H_
 
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,6 +19,7 @@
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "robust/record_log.h"
 
 namespace secreta {
 
@@ -65,13 +52,10 @@ class ShardCheckpoint {
                                                        uint64_t dataset_fp,
                                                        uint64_t plan_fp);
 
-  /// True when `shard` has a complete block.
-  bool Has(size_t shard) const SECRETA_EXCLUDES(mutex_);
-
   /// Copies the stored metadata for `shard`. False if missing.
   bool FindMeta(size_t shard, ShardMeta* out) const SECRETA_EXCLUDES(mutex_);
 
-  /// Re-reads `shard`'s payload from disk and re-verifies its fingerprint.
+  /// Re-reads `shard`'s payload from disk and re-verifies its commit.
   Result<ShardRecord> ReadPayload(size_t shard) const SECRETA_EXCLUDES(mutex_);
 
   /// Appends one completed shard and flushes. `record.rows` and
@@ -80,32 +64,22 @@ class ShardCheckpoint {
 
   /// Shards loaded from a pre-existing file at Open (pre-crash progress).
   size_t loaded() const { return loaded_; }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_->path(); }
 
  private:
   struct Entry {
     ShardMeta meta;
-    uint64_t payload_fp = 0;
-    /// Offset of the first payload line within the file.
-    std::streamoff offset = 0;
+    RecordRef ref;
   };
 
-  ShardCheckpoint(std::string path, uint64_t run_key, uint64_t dataset_fp,
-                  uint64_t plan_fp)
-      : path_(std::move(path)),
-        run_key_(run_key),
-        dataset_fp_(dataset_fp),
-        plan_fp_(plan_fp) {}
+  ShardCheckpoint(std::unique_ptr<RecordLog> log, size_t loaded)
+      : log_(std::move(log)), loaded_(loaded) {}
 
-  const std::string path_;
-  const uint64_t run_key_;
-  const uint64_t dataset_fp_;
-  const uint64_t plan_fp_;
-  size_t loaded_ = 0;
+  const std::unique_ptr<RecordLog> log_;
+  const size_t loaded_;
 
   mutable Mutex mutex_;
   std::map<size_t, Entry> records_ SECRETA_GUARDED_BY(mutex_);
-  std::ofstream out_ SECRETA_GUARDED_BY(mutex_);
 };
 
 }  // namespace secreta

@@ -223,11 +223,53 @@ TEST(CheckpointLogTest, DropsCorruptTrailingRecord) {
     std::ofstream out(path, std::ios::app);
     out << "point\t00000000000000ff\t0x1p+1\ttrunc";
   }
+  {
+    ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 1, 2));
+    EXPECT_EQ(log->loaded(), 1u);
+    EvaluationReport report;
+    EXPECT_TRUE(log->Find(1, &report));
+    EXPECT_FALSE(log->Find(0xff, &report));
+    // The resumed run appends past the crash point...
+    ASSERT_OK(log->Append(3, 4.0, MakeReport()));
+  }
+  // ...and a second resume sees that point too: the torn bytes were cut
+  // off, not left in front of it.
   ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 1, 2));
-  EXPECT_EQ(log->loaded(), 1u);
+  EXPECT_EQ(log->loaded(), 2u);
   EvaluationReport report;
+  double value = 0;
   EXPECT_TRUE(log->Find(1, &report));
-  EXPECT_FALSE(log->Find(0xff, &report));
+  ASSERT_TRUE(log->Find(3, &report, &value));
+  EXPECT_EQ(value, 4.0);
+}
+
+TEST(CheckpointLogTest, RefusedOpenLeavesFileUntouched) {
+  std::string path = TempPath("checkpoint_refused.txt");
+  std::remove(path.c_str());
+  {
+    ASSERT_OK_AND_ASSIGN(auto log, CheckpointLog::Open(path, 1, 2));
+    ASSERT_OK(log->Append(1, 2.0, MakeReport()));
+  }
+  {
+    std::ofstream out(path, std::ios::app);
+    out << "point\t0\ttorn";
+  }
+  // A foreign fingerprint is refused before the torn tail is cut.
+  const std::string torn = testing::ReadFileBytes(path);
+  Result<std::unique_ptr<CheckpointLog>> foreign =
+      CheckpointLog::Open(path, 1, 9);
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_EQ(foreign.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(testing::ReadFileBytes(path), torn);
+  // So is a v1 file, which is left for the operator to delete.
+  const std::string v1 =
+      "secreta-checkpoint\tv1\t0000000000000001\t0000000000000002\n"
+      "point\t00000000000000ff\ttrunc";
+  testing::WriteFileBytes(path, v1);
+  Result<std::unique_ptr<CheckpointLog>> old = CheckpointLog::Open(path, 1, 2);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(testing::ReadFileBytes(path), v1);
 }
 
 TEST(CheckpointLogTest, PointKeySeparatesGridCells) {

@@ -29,23 +29,12 @@
 namespace secreta {
 namespace {
 
+using secreta::testing::ReadFileBytes;
 using secreta::testing::SmallRtDataset;
+using secreta::testing::WriteFileBytes;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good());
 }
 
 std::string CanonicalCsv(const Dataset& dataset) {
@@ -586,8 +575,9 @@ TEST(ShardCheckpointTest, AppendReopenReadPayloadRoundTrip) {
                          ShardCheckpoint::Open(path, 7, 8, 9));
     EXPECT_EQ(ckpt->loaded(), 0u);
     ASSERT_OK(ckpt->Append(record));
-    EXPECT_TRUE(ckpt->Has(1));
-    EXPECT_FALSE(ckpt->Has(0));
+    ShardMeta meta;
+    EXPECT_TRUE(ckpt->FindMeta(1, &meta));
+    EXPECT_FALSE(ckpt->FindMeta(0, &meta));
   }
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                        ShardCheckpoint::Open(path, 7, 8, 9));
@@ -617,6 +607,15 @@ TEST(ShardCheckpointTest, RejectsForeignRunDatasetOrPlan) {
   EXPECT_TRUE(ShardCheckpoint::Open(path, 1, 2, 3).ok());
 }
 
+ShardRecord TwoRowShard(size_t shard) {
+  ShardRecord record;
+  record.shard = shard;
+  record.rows = {static_cast<uint32_t>(2 * shard),
+                 static_cast<uint32_t>(2 * shard + 1)};
+  record.lines = {"x,y", "z,w"};
+  return record;
+}
+
 TEST(ShardCheckpointTest, DropsBlocksWithoutValidDoneLine) {
   std::string path = TempPath("shard_ckpt_truncated.txt");
   std::remove(path.c_str());
@@ -624,12 +623,7 @@ TEST(ShardCheckpointTest, DropsBlocksWithoutValidDoneLine) {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                          ShardCheckpoint::Open(path, 5, 6, 7));
     for (size_t s = 0; s < 2; ++s) {
-      ShardRecord record;
-      record.shard = s;
-      record.rows = {static_cast<uint32_t>(2 * s),
-                     static_cast<uint32_t>(2 * s + 1)};
-      record.lines = {"x,y", "z,w"};
-      ASSERT_OK(ckpt->Append(record));
+      ASSERT_OK(ckpt->Append(TwoRowShard(s)));
     }
   }
   // Kill mid-append: cut the file inside the second block.
@@ -639,13 +633,79 @@ TEST(ShardCheckpointTest, DropsBlocksWithoutValidDoneLine) {
   size_t cut = bytes.find('\n', first_done + 1);  // end of "done 0" line
   ASSERT_NE(cut, std::string::npos);
   WriteFileBytes(path, bytes.substr(0, cut + 1 + 10));
+  ShardMeta meta;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 5, 6, 7));
+    EXPECT_EQ(ckpt->loaded(), 1u);
+    EXPECT_TRUE(ckpt->FindMeta(0, &meta));
+    EXPECT_FALSE(ckpt->FindMeta(1, &meta));
+    ASSERT_OK_AND_ASSIGN(ShardRecord record, ckpt->ReadPayload(0));
+    EXPECT_EQ(record.lines.size(), 2u);
+    // The resumed run recomputes shard 1 and appends it past the crash.
+    ASSERT_OK(ckpt->Append(TwoRowShard(1)));
+  }
+  // A second resume replays both shards: the torn block was cut off, not
+  // left in front of the new one.
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
                        ShardCheckpoint::Open(path, 5, 6, 7));
-  EXPECT_EQ(ckpt->loaded(), 1u);
-  EXPECT_TRUE(ckpt->Has(0));
-  EXPECT_FALSE(ckpt->Has(1));
-  ASSERT_OK_AND_ASSIGN(ShardRecord record, ckpt->ReadPayload(0));
-  EXPECT_EQ(record.lines.size(), 2u);
+  EXPECT_EQ(ckpt->loaded(), 2u);
+  EXPECT_TRUE(ckpt->FindMeta(0, &meta));
+  EXPECT_TRUE(ckpt->FindMeta(1, &meta));
+  ASSERT_OK_AND_ASSIGN(ShardRecord record, ckpt->ReadPayload(1));
+  EXPECT_EQ(record.rows, TwoRowShard(1).rows);
+  EXPECT_EQ(record.lines, TwoRowShard(1).lines);
+}
+
+TEST(ShardCheckpointTest, RefusedOpenLeavesFileUntouched) {
+  std::string path = TempPath("shard_ckpt_refused.txt");
+  std::remove(path.c_str());
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 5, 6, 7));
+    ASSERT_OK(ckpt->Append(TwoRowShard(0)));
+  }
+  const std::string torn = ReadFileBytes(path) + "shard\t2\t1";
+  WriteFileBytes(path, torn);
+  // A foreign partition is refused before the torn tail is cut.
+  Result<std::unique_ptr<ShardCheckpoint>> foreign =
+      ShardCheckpoint::Open(path, 5, 6, 9);
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_EQ(foreign.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ReadFileBytes(path), torn);
+  // So is a v1 file, which is left for the operator to delete.
+  const std::string v1 =
+      "secreta-shard-checkpoint\tv1\t0000000000000005\t0000000000000006\t"
+      "0000000000000007\nshard 0 2 0x0p+0 0x0p+0\n0\tx,y\n";
+  WriteFileBytes(path, v1);
+  Result<std::unique_ptr<ShardCheckpoint>> old =
+      ShardCheckpoint::Open(path, 5, 6, 7);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ReadFileBytes(path), v1);
+}
+
+TEST(ShardCheckpointTest, ReadPayloadRejectsBodyChangedAfterLoad) {
+  std::string path = TempPath("shard_ckpt_changed.txt");
+  std::remove(path.c_str());
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                         ShardCheckpoint::Open(path, 5, 6, 7));
+    ASSERT_OK(ckpt->Append(TwoRowShard(0)));
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ShardCheckpoint> ckpt,
+                       ShardCheckpoint::Open(path, 5, 6, 7));
+  ASSERT_OK(ckpt->ReadPayload(0).status());
+  // Flip one byte of a committed payload row; the row still parses, so only
+  // the re-verified commit can notice.
+  std::string bytes = ReadFileBytes(path);
+  size_t at = bytes.find("z,w");
+  ASSERT_NE(at, std::string::npos);
+  bytes[at] = 'q';
+  WriteFileBytes(path, bytes);
+  Result<ShardRecord> changed = ckpt->ReadPayload(0);
+  ASSERT_FALSE(changed.ok());
+  EXPECT_EQ(changed.status().code(), StatusCode::kIOError);
 }
 
 TEST(ShardCheckpointTest, PointKeyFoldsShardOnlyWhenNonZero) {
