@@ -13,9 +13,10 @@
 //    original full-record scan) timed optimized-vs-reference on the same
 //    data, outputs compared field-for-field — the full run requires >= 2x
 //    on both;
-//  - determinism: each parallelized algorithm (Incognito, Cluster, TopDown,
-//    COAT) run with the shared pool and with pool=nullptr must produce
-//    byte-identical recodings.
+//  - determinism: each pool-aware algorithm (Incognito, TopDown, COAT, and
+//    Cluster, whose candidate scans are serial and ignore the pool) run
+//    with the shared pool and with pool=nullptr must produce byte-identical
+//    recodings.
 //
 // `--quick` shrinks sizes for CI smoke and drops the 2x end-to-end floor
 // (small inputs don't amortize setup; correctness still gates). The micro

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/parallel.h"
 #include "common/random.h"
 #include "metrics/information_loss.h"
 #include "obs/trace.h"
@@ -26,11 +25,7 @@ struct FlatContext {
     for (size_t qi = 0; qi < q; ++qi) {
       leaf_cols[qi].resize(n);
       for (size_t r = 0; r < n; ++r) leaf_cols[qi][r] = context.Leaf(r, qi);
-      const Hierarchy& h = context.hierarchy(qi);
-      node_ncp[qi].resize(h.num_nodes());
-      for (size_t node = 0; node < h.num_nodes(); ++node) {
-        node_ncp[qi][node] = NodeNcp(h, static_cast<NodeId>(node));
-      }
+      node_ncp[qi] = NodeNcps(context.hierarchy(qi));
     }
   }
 };
@@ -86,11 +81,6 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
     return row;
   };
 
-  // Scratch for the parallel candidate scans: every candidate's cost is
-  // computed independently, then a serial argmin applies the exact strict-<
-  // first-minimum rule of the sequential loop — identical picks, identical
-  // clusters, with or without a pool.
-  std::vector<double> costs;
   std::vector<ClusterHead> clusters;
   while (remaining.size() >= k) {
     SECRETA_RETURN_IF_ERROR(CheckCancel("cluster seed"));
@@ -115,15 +105,13 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
       } else {
         candidates = rng.Sample(remaining.size(), pool);
       }
-      costs.resize(candidates.size());
-      ParallelFor(pool_, candidates.size(), [&](size_t ci) {
-        costs[ci] = head.CostWith(context, flat, remaining[candidates[ci]]);
-      });
+      // First minimum wins (strict <).
       size_t best_pos = candidates[0];
-      double best_cost = costs[0];
+      double best_cost = head.CostWith(context, flat, remaining[best_pos]);
       for (size_t ci = 1; ci < candidates.size(); ++ci) {
-        if (costs[ci] < best_cost) {
-          best_cost = costs[ci];
+        double cost = head.CostWith(context, flat, remaining[candidates[ci]]);
+        if (cost < best_cost) {
+          best_cost = cost;
           best_pos = candidates[ci];
         }
       }
@@ -133,15 +121,12 @@ Result<RelationalRecoding> ClusterAnonymizer::Anonymize(
   }
   // Fewer than k records remain: each joins the cluster it dilates least.
   for (size_t row : remaining) {
-    costs.resize(clusters.size());
-    ParallelFor(pool_, clusters.size(), [&](size_t c) {
-      costs[c] = clusters[c].CostWith(context, flat, row);
-    });
     size_t best_cluster = 0;
-    double best_cost = costs[0];
+    double best_cost = clusters[0].CostWith(context, flat, row);
     for (size_t c = 1; c < clusters.size(); ++c) {
-      if (costs[c] < best_cost) {
-        best_cost = costs[c];
+      double cost = clusters[c].CostWith(context, flat, row);
+      if (cost < best_cost) {
+        best_cost = cost;
         best_cluster = c;
       }
     }

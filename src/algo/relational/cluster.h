@@ -3,7 +3,9 @@
 // by repeatedly adding the record whose inclusion minimizes the cluster's
 // NCP; each cluster's QI values are generalized to the per-attribute LCA of
 // its members. Produces many small equivalence classes, which is what the RT
-// pipeline wants as its starting partition.
+// pipeline wants as its starting partition. The candidate scans run serially
+// and ignore the pool: a scan covers at most candidate_cap records, too few
+// to pay for a fan-out.
 
 #ifndef SECRETA_ALGO_RELATIONAL_CLUSTER_H_
 #define SECRETA_ALGO_RELATIONAL_CLUSTER_H_

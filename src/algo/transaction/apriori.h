@@ -7,6 +7,9 @@
 #ifndef SECRETA_ALGO_TRANSACTION_APRIORI_H_
 #define SECRETA_ALGO_TRANSACTION_APRIORI_H_
 
+#include <cstdint>
+#include <limits>
+
 #include "algo/transaction/cut.h"
 #include "core/algorithm.h"
 
@@ -22,22 +25,30 @@ class AprioriAnonymizer : public TransactionAnonymizer {
       const AnonParams& params) override;
 };
 
+/// Leaf-position interval [begin, end) of the item hierarchy.
+struct LeafRange {
+  int32_t begin = 0;
+  int32_t end = std::numeric_limits<int32_t>::max();
+};
+
 /// \brief The AA loop shared by Apriori, LRA and VPA.
 ///
-/// Runs on `cut`, restricted to `subset`, never raising a node above depth
-/// `min_depth` (0 allows the root; VPA uses 1 to stay inside the root's
-/// child subtrees). Returns true if k^m-anonymity was established. When a
-/// violation persists with every involved node unraisable:
-/// `suppress_on_failure` true suppresses all items (guarantee preserved,
-/// returns true); false leaves the cut as-is and returns false so the caller
-/// can fix the residue by other means. `pool` (may be null) parallelizes the
-/// count-tree builds; `cancel` (may be null) is polled once per raise
-/// iteration.
-Result<bool> RunAprioriLoop(HierarchyCut* cut, const std::vector<size_t>& subset,
-                            int k, int m, int min_depth,
+/// Runs on `cut`'s records, counting only the gens whose cut node lies
+/// inside `part` (VPA's vertical part; the default is the whole domain), and
+/// never raises a node above depth `min_depth` (0 allows the root; VPA uses
+/// 1 to stay inside the root's child subtrees). Returns true if
+/// k^m-anonymity was established. When a violation persists with every
+/// involved node unraisable: `suppress_on_failure` true suppresses all items
+/// (guarantee preserved, returns true); false leaves that violation to the
+/// caller, goes on with the next itemset size and returns false. The count
+/// tree of each itemset size is built once (`pool`, may be null, fans the
+/// build out) and then updated by delta for the records each raise
+/// rewrites; `cancel` (may be null) is polled once per raise iteration.
+Result<bool> RunAprioriLoop(HierarchyCut* cut, int k, int m, int min_depth,
                             bool suppress_on_failure,
                             ThreadPool* pool = nullptr,
-                            const CancellationToken* cancel = nullptr);
+                            const CancellationToken* cancel = nullptr,
+                            LeafRange part = {});
 
 }  // namespace secreta
 

@@ -51,27 +51,34 @@ CountTree::CountTree(const std::vector<std::vector<int32_t>>& records, int m,
 
 void CountTree::InsertRecords(const std::vector<std::vector<int32_t>>& records,
                               size_t begin, size_t end) {
-  // Insert every subset of size <= m of every record. The recursion mirrors
-  // combination enumeration but shares prefixes through the tree.
-  struct Frame {
-    int32_t node;
-    size_t start;
-    int depth;
-  };
-  std::vector<Frame> stack;
-  for (size_t r = begin; r < end; ++r) {
-    const auto& rec = records[r];
-    stack.clear();
-    stack.push_back({0, 0, 0});
-    while (!stack.empty()) {
-      Frame frame = stack.back();
-      stack.pop_back();
-      if (frame.depth == m_) continue;
-      for (size_t i = frame.start; i < rec.size(); ++i) {
-        int32_t child = GetOrAddChild(frame.node, rec[i]);
-        ++nodes_[static_cast<size_t>(child)].count;
-        stack.push_back({child, i + 1, frame.depth + 1});
+  for (size_t r = begin; r < end; ++r) CountItemsets(records[r], false);
+}
+
+void CountTree::Replace(const std::vector<int32_t>& old_record,
+                        const std::vector<int32_t>& new_record) {
+  CountItemsets(old_record, true);
+  CountItemsets(new_record, false);
+}
+
+void CountTree::CountItemsets(const std::vector<int32_t>& record,
+                              bool remove) {
+  // Visit every subset of size <= m. The recursion mirrors combination
+  // enumeration but shares prefixes through the tree.
+  stack_.clear();
+  stack_.push_back({0, 0, 0});
+  while (!stack_.empty()) {
+    SubsetFrame frame = stack_.back();
+    stack_.pop_back();
+    if (frame.depth == m_) continue;
+    for (size_t i = frame.start; i < record.size(); ++i) {
+      int32_t child = GetOrAddChild(frame.node, record[i]);
+      size_t& count = nodes_[static_cast<size_t>(child)].count;
+      if (remove) {
+        --count;
+      } else {
+        ++count;
       }
+      stack_.push_back({child, i + 1, frame.depth + 1});
     }
   }
 }
@@ -157,6 +164,8 @@ std::vector<KmViolation> CountTree::FindViolations(
     }
     if (frame.next_child < node.children.size()) {
       int32_t child = node.children[frame.next_child++];
+      // A node emptied by Replace heads an all-zero subtree.
+      if (nodes_[static_cast<size_t>(child)].count == 0) continue;
       path.push_back(nodes_[static_cast<size_t>(child)].item);
       stack.push_back({child, 0});
     } else {

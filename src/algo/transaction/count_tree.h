@@ -35,6 +35,15 @@ class CountTree {
   CountTree(const std::vector<std::vector<int32_t>>& records, int m,
             ThreadPool* pool = nullptr);
 
+  /// Swaps one counted record for another: subtracts the itemsets of size
+  /// <= m of `old_record` (which must be among the counted records) and adds
+  /// those of `new_record`. Nodes whose count falls to 0 stay in the tree;
+  /// Support and FindViolations treat them as absent, and a child's count
+  /// never exceeds its parent's, so the tree answers exactly as a fresh build
+  /// over the updated records would.
+  void Replace(const std::vector<int32_t>& old_record,
+               const std::vector<int32_t>& new_record);
+
   /// Support of `itemset` (must be sorted); 0 if absent.
   size_t Support(const std::vector<int32_t>& itemset) const;
 
@@ -65,6 +74,9 @@ class CountTree {
   // Inserts all itemsets of records[begin, end).
   void InsertRecords(const std::vector<std::vector<int32_t>>& records,
                      size_t begin, size_t end);
+  // Adds one to (or, with `remove`, subtracts one from) the count of every
+  // itemset of size <= m of `record`.
+  void CountItemsets(const std::vector<int32_t>& record, bool remove);
   // Adds `other`'s structure and counts into this tree.
   void MergeFrom(const CountTree& other);
 
@@ -73,8 +85,16 @@ class CountTree {
   // Returns the child of `node` holding `item`, creating it if needed.
   int32_t GetOrAddChild(int32_t node, int32_t item);
 
+  // One pending extension in CountItemsets' subset enumeration.
+  struct SubsetFrame {
+    int32_t node;
+    size_t start;
+    int depth;
+  };
+
   Arena arena_;              // declared before nodes_: outlives the vectors
   std::vector<Node> nodes_;  // nodes_[0] is the root (item -1)
+  std::vector<SubsetFrame> stack_;  // CountItemsets scratch
   int m_;
 };
 

@@ -81,12 +81,12 @@ Result<TransactionRecoding> LraAnonymizer::AnonymizeSubset(
     std::vector<size_t> part_rows;
     part_rows.reserve(end - begin);
     for (size_t j = begin; j < end; ++j) part_rows.push_back(subset[order[j]]);
-    HierarchyCut cut(context);
+    HierarchyCut cut(context, std::move(part_rows));
     SECRETA_RETURN_IF_ERROR(
-        RunAprioriLoop(&cut, part_rows, params.k, params.m, /*min_depth=*/0,
+        RunAprioriLoop(&cut, params.k, params.m, /*min_depth=*/0,
                        /*suppress_on_failure=*/true, pool_, cancel_)
             .status());
-    CutRecoding part = cut.Materialize(part_rows);
+    CutRecoding part = cut.Materialize();
     out.suppressed_occurrences += part.recoding.suppressed_occurrences;
     // Remap part gens into the shared pool and place records at their
     // original subset positions.

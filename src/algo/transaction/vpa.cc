@@ -2,29 +2,24 @@
 
 #include <algorithm>
 
+#include "algo/transaction/apriori.h"
 #include "algo/transaction/coat.h"
 #include "algo/transaction/count_tree.h"
 #include "algo/transaction/cut.h"
 #include "algo/transaction/gen_space.h"
-#include "metrics/information_loss.h"
 #include "obs/trace.h"
 
 namespace secreta {
 
 namespace {
 
-// One vertical part: a contiguous leaf-position interval aligned with whole
+// The vertical parts: contiguous leaf-position intervals aligned with whole
 // root-child subtrees.
-struct Part {
-  int32_t begin = 0;
-  int32_t end = 0;
-};
-
-std::vector<Part> SplitDomain(const Hierarchy& h, int requested_parts) {
+std::vector<LeafRange> SplitDomain(const Hierarchy& h, int requested_parts) {
   const auto& children = h.children(h.root());
   size_t parts = std::min<size_t>(static_cast<size_t>(requested_parts),
                                   std::max<size_t>(children.size(), 1));
-  std::vector<Part> out;
+  std::vector<LeafRange> out;
   if (children.empty()) {
     out.push_back({0, static_cast<int32_t>(h.num_leaves())});
     return out;
@@ -49,54 +44,20 @@ Result<TransactionRecoding> VpaAnonymizer::AnonymizeSubset(
     return Status::FailedPrecondition("VPA requires an item hierarchy");
   }
   const Hierarchy& h = context.hierarchy();
-  std::vector<Part> parts = SplitDomain(h, params.vpa_parts);
-  HierarchyCut cut(context);
+  HierarchyCut cut(context, subset);
   // Phase 1: per-part AA, raising only inside the part (min_depth 1 keeps
   // every raise strictly below the root, and parts are unions of root-child
-  // subtrees, so a raise never crosses a part boundary).
-  for (const Part& part : parts) {
-    for (int i = 1; i <= params.m; ++i) {
-      while (true) {
-        CutRecoding view = cut.Materialize(subset);
-        // Project records onto this part's gens.
-        std::vector<char> in_part(view.recoding.gens.size(), 0);
-        for (size_t g = 0; g < view.gen_nodes.size(); ++g) {
-          NodeId node = view.gen_nodes[g];
-          in_part[g] = h.leaf_interval_begin(node) >= part.begin &&
-                       h.leaf_interval_end(node) <= part.end;
-        }
-        std::vector<std::vector<int32_t>> projected;
-        projected.reserve(view.recoding.records.size());
-        for (const auto& rec : view.recoding.records) {
-          std::vector<int32_t> p;
-          for (int32_t g : rec) {
-            if (in_part[static_cast<size_t>(g)]) p.push_back(g);
-          }
-          projected.push_back(std::move(p));
-        }
-        CountTree tree(projected, i, pool_);
-        auto violations = tree.FindViolations(params.k, 1);
-        if (violations.empty()) break;
-        NodeId best_target = kNoNode;
-        double best_cost = 0;
-        for (int32_t g : violations[0].itemset) {
-          NodeId node = view.gen_nodes[static_cast<size_t>(g)];
-          if (h.depth(node) <= 1) continue;  // already at a part top
-          NodeId parent = h.parent(node);
-          double cost = NodeNcp(h, parent);
-          if (best_target == kNoNode || cost < best_cost) {
-            best_target = parent;
-            best_cost = cost;
-          }
-        }
-        if (best_target == kNoNode) break;  // residue left for phase 2
-        cut.RaiseTo(best_target);
-      }
-    }
+  // subtrees, so a raise never crosses a part boundary). A violation no raise
+  // inside the part can fix is left for phase 2.
+  for (const LeafRange& part : SplitDomain(h, params.vpa_parts)) {
+    SECRETA_RETURN_IF_ERROR(
+        RunAprioriLoop(&cut, params.k, params.m, /*min_depth=*/1,
+                       /*suppress_on_failure=*/false, pool_, cancel_, part)
+            .status());
   }
   // Phase 2: global repair. Cross-part itemsets (and any per-part residue)
   // are fixed by merging generalized items in set space.
-  CutRecoding view = cut.Materialize(subset);
+  CutRecoding view = cut.Materialize();
   std::vector<std::vector<ItemId>> txns;
   txns.reserve(subset.size());
   for (size_t row : subset) txns.push_back(context.dataset().items(row).raw());

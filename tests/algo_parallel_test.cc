@@ -1,8 +1,8 @@
 // Determinism and equivalence tests for the parallelized anonymization
-// algorithms: every algorithm must produce byte-identical recodings with and
-// without a thread pool, the optimized counting paths must match their
-// preserved reference implementations, and the sharded count-tree build must
-// agree with the serial one.
+// algorithms: every algorithm, and the RT pipeline around them, must produce
+// byte-identical recodings with and without a thread pool, the optimized
+// counting paths must match their preserved reference implementations, and
+// the sharded count-tree build must agree with the serial one.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +16,14 @@
 #include "algo/relational/cluster.h"
 #include "algo/relational/incognito.h"
 #include "algo/relational/topdown.h"
+#include "algo/rt/rt_anonymizer.h"
 #include "algo/transaction/apriori.h"
 #include "algo/transaction/coat.h"
 #include "algo/transaction/count_tree.h"
 #include "algo/transaction/gen_space.h"
 #include "algo/transaction/pcta.h"
 #include "common/parallel.h"
+#include "engine/registry.h"
 #include "hierarchy/hierarchy_builder.h"
 #include "tests/test_util.h"
 
@@ -175,6 +177,34 @@ TEST(AlgoParallelTest, AprioriPoolInvariantWithHierarchy) {
   TransactionRecoding parallel =
       std::move(algo.Anonymize(context, params)).ValueOrDie();
   EXPECT_TRUE(SameTransaction(serial, parallel));
+}
+
+// The RT pipeline runs every per-cluster and per-merge transaction
+// anonymization with the transaction algorithm's pool: no algorithm's
+// release may depend on it.
+TEST(AlgoParallelTest, RtTransactionPhasePoolInvariant) {
+  RelationalFixture fx = MakeRelational(400, 13);
+  auto items = std::move(BuildItemHierarchy(*fx.dataset)).ValueOrDie();
+  auto txn_context =
+      std::move(TransactionContext::Create(*fx.dataset, &items)).ValueOrDie();
+  AnonParams params;
+  params.k = 5;
+  params.m = 2;
+  for (const std::string& name : TransactionAlgorithmNames()) {
+    std::vector<RtResult> runs;
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr),
+                             &SharedEvalPool()}) {
+      auto txn = std::move(MakeTransactionAnonymizer(name)).ValueOrDie();
+      txn->set_pool(pool);
+      RtAnonymizer rt(std::make_shared<ClusterAnonymizer>(), txn,
+                      MergerKind::kRTmerger);
+      runs.push_back(std::move(rt.Anonymize(fx.context(), txn_context, params))
+                         .ValueOrDie());
+    }
+    EXPECT_TRUE(SameRelational(runs[0].relational, runs[1].relational)) << name;
+    EXPECT_TRUE(SameTransaction(runs[0].transaction, runs[1].transaction))
+        << name;
+  }
 }
 
 // Sharded count-tree construction must agree with the serial build on

@@ -1,5 +1,6 @@
 // Tests for the count-tree: agreement with the reference (hash-based)
-// support counting on hand-built and randomized inputs.
+// support counting on hand-built and randomized inputs, and of delta-updated
+// trees with fresh builds.
 
 #include "algo/transaction/count_tree.h"
 
@@ -71,6 +72,60 @@ TEST(CountTreeTest, RandomizedAgreementWithReference) {
     for (const auto& v : tree_violations) a[v.itemset] = v.support;
     for (const auto& v : reference) b[v.itemset] = v.support;
     EXPECT_EQ(a, b) << "trial " << trial << " k=" << k << " m=" << m;
+  }
+}
+
+// The AA loop keeps one tree per itemset size and swaps in the records each
+// raise rewrites. After any sequence of raises the delta-updated tree must
+// answer exactly as a fresh build: the same first violation (the one the
+// loop acts on) and the same supports, including for itemsets that vanished.
+TEST(CountTreeTest, ReplaceMatchesFreshBuildAfterRaises) {
+  Rng rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<std::vector<int32_t>> records(40);
+    for (auto& rec : records) {
+      size_t len = static_cast<size_t>(rng.UniformInt(1, 6));
+      for (size_t idx : rng.Sample(24, len)) {
+        rec.push_back(static_cast<int32_t>(idx));
+      }
+      std::sort(rec.begin(), rec.end());
+    }
+    int m = static_cast<int>(rng.UniformInt(1, 3));
+    int k = static_cast<int>(rng.UniformInt(2, 6));
+    CountTree delta(records, m);
+    for (int raise = 0; raise < 12; ++raise) {
+      // A raise merges the keys [lo, hi) into lo, as a cut raise merges the
+      // gens under a node into the one keyed by their smallest item.
+      int32_t lo = static_cast<int32_t>(rng.UniformInt(0, 22));
+      int32_t hi = static_cast<int32_t>(rng.UniformInt(lo + 1, 24));
+      for (auto& rec : records) {
+        std::vector<int32_t> raised;
+        for (int32_t key : rec) raised.push_back(key >= lo && key < hi ? lo : key);
+        std::sort(raised.begin(), raised.end());
+        raised.erase(std::unique(raised.begin(), raised.end()), raised.end());
+        if (raised == rec) continue;
+        delta.Replace(rec, raised);
+        rec = std::move(raised);
+      }
+      CountTree fresh(records, m);
+      auto want = fresh.FindViolations(k, 1);
+      auto got = delta.FindViolations(k, 1);
+      ASSERT_EQ(want.size(), got.size()) << "trial " << trial;
+      if (!want.empty()) {
+        EXPECT_EQ(want[0].itemset, got[0].itemset) << "trial " << trial;
+        EXPECT_EQ(want[0].support, got[0].support) << "trial " << trial;
+      }
+      for (int probe = 0; probe < 50; ++probe) {
+        std::vector<int32_t> itemset;
+        size_t len = static_cast<size_t>(rng.UniformInt(1, m));
+        for (size_t idx : rng.Sample(24, len)) {
+          itemset.push_back(static_cast<int32_t>(idx));
+        }
+        std::sort(itemset.begin(), itemset.end());
+        EXPECT_EQ(delta.Support(itemset), fresh.Support(itemset))
+            << "trial " << trial;
+      }
+    }
   }
 }
 

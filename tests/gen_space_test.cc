@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "algo/transaction/cut.h"
+#include "common/random.h"
 #include "hierarchy/hierarchy_builder.h"
 #include "tests/test_util.h"
 
@@ -125,7 +126,7 @@ TEST(HierarchyCutTest, StartsAtLeavesAndRaises) {
   ASSERT_OK_AND_ASSIGN(Hierarchy h, BuildItemHierarchy(ds));
   ASSERT_OK_AND_ASSIGN(TransactionContext ctx,
                        TransactionContext::Create(ds, &h));
-  HierarchyCut cut(ctx);
+  HierarchyCut cut(ctx, {});
   for (size_t i = 0; i < ctx.num_items(); ++i) {
     EXPECT_TRUE(h.IsLeaf(cut.NodeOf(static_cast<ItemId>(i))));
   }
@@ -147,11 +148,11 @@ TEST(HierarchyCutTest, MaterializeIsConsistent) {
   ASSERT_OK_AND_ASSIGN(Hierarchy h, BuildItemHierarchy(ds));
   ASSERT_OK_AND_ASSIGN(TransactionContext ctx,
                        TransactionContext::Create(ds, &h));
-  HierarchyCut cut(ctx);
-  cut.RaiseTo(h.children(h.root())[0]);
   std::vector<size_t> subset(ds.num_records());
   std::iota(subset.begin(), subset.end(), 0);
-  CutRecoding view = cut.Materialize(subset);
+  HierarchyCut cut(ctx, subset);
+  cut.RaiseTo(h.children(h.root())[0]);
+  CutRecoding view = cut.Materialize();
   ASSERT_EQ(view.recoding.records.size(), subset.size());
   ASSERT_EQ(view.gen_nodes.size(), view.recoding.gens.size());
   // item_map agrees with NodeOf.
@@ -163,15 +164,48 @@ TEST(HierarchyCutTest, MaterializeIsConsistent) {
   }
 }
 
+// The records a cut keeps in step with its raises must match Materialize's
+// records gen for gen: each key maps through item_map to the gen of its
+// node, and keys sort as the compact gen ids do.
+TEST(HierarchyCutTest, RecordsTrackRaises) {
+  Dataset ds = testing::SmallRtDataset(80, 97);
+  ASSERT_OK_AND_ASSIGN(Hierarchy h, BuildItemHierarchy(ds));
+  ASSERT_OK_AND_ASSIGN(TransactionContext ctx,
+                       TransactionContext::Create(ds, &h));
+  std::vector<size_t> subset;
+  for (size_t row = 0; row < ds.num_records(); row += 2) subset.push_back(row);
+  HierarchyCut cut(ctx, subset);
+  Rng rng(3);
+  for (int raise = 0; raise < 15; ++raise) {
+    ItemId item = static_cast<ItemId>(
+        rng.UniformInt(0, static_cast<int64_t>(ctx.num_items()) - 1));
+    NodeId node = cut.NodeOf(item);
+    if (node == h.root()) continue;
+    cut.RaiseTo(h.parent(node));
+    CutRecoding view = cut.Materialize();
+    ASSERT_EQ(cut.records().size(), view.recoding.records.size());
+    for (size_t j = 0; j < subset.size(); ++j) {
+      std::vector<int32_t> gens;
+      for (int32_t key : cut.records()[j]) {
+        // A key is the smallest item its node covers.
+        for (ItemId smaller = 0; smaller < key; ++smaller) {
+          EXPECT_NE(cut.NodeOf(smaller), cut.NodeOf(key));
+        }
+        gens.push_back(view.recoding.item_map[static_cast<size_t>(key)]);
+      }
+      EXPECT_EQ(gens, view.recoding.records[j]) << "row " << subset[j];
+    }
+  }
+}
+
 TEST(HierarchyCutTest, SuppressAllEmptiesRecords) {
   Dataset ds = testing::SmallRtDataset(30, 95);
   ASSERT_OK_AND_ASSIGN(Hierarchy h, BuildItemHierarchy(ds));
   ASSERT_OK_AND_ASSIGN(TransactionContext ctx,
                        TransactionContext::Create(ds, &h));
-  HierarchyCut cut(ctx);
+  HierarchyCut cut(ctx, {0, 1, 2});
   cut.SuppressAll();
-  std::vector<size_t> subset{0, 1, 2};
-  CutRecoding view = cut.Materialize(subset);
+  CutRecoding view = cut.Materialize();
   for (const auto& rec : view.recoding.records) EXPECT_TRUE(rec.empty());
   EXPECT_GT(view.recoding.suppressed_occurrences, 0u);
 }
