@@ -11,8 +11,7 @@
 //                          (counters, gauges, latency histograms) as JSON
 //
 // Robustness flags:
-//   --faults <spec>        arm the fault injector (requires a build with
-//                          -DSECRETA_FAULTS=ON); spec grammar is
+//   --faults <spec>        arm the fault injector; spec grammar is
 //                          site:action:arg[,site:action:arg...], e.g.
 //                          sweep.point:fail:0.05 — see
 //                          src/robust/fault_injection.h. The SECRETA_FAULTS
@@ -130,11 +129,6 @@ int main(int argc, char** argv) {
     if (const char* env = std::getenv("SECRETA_FAULTS")) fault_spec = env;
   }
   if (!fault_spec.empty()) {
-    if (!secreta::FaultInjector::CompiledIn()) {
-      std::cerr << "--faults requires a build with -DSECRETA_FAULTS=ON "
-                   "(the fault sites are compiled out)\n";
-      return 1;
-    }
     uint64_t seed = 0;
     if (const char* env = std::getenv("SECRETA_FAULT_SEED")) {
       seed = static_cast<uint64_t>(std::atoll(env));

@@ -16,6 +16,7 @@
 //       --token demo-token count demo "Age:20..39"
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "datagen/synthetic.h"
 #include "kernels/kernels.h"
 #include "obs/slow_query_log.h"
@@ -52,6 +54,36 @@ template <typename T>
 T Check(Result<T> result, const char* what) {
   if (!result.ok()) Fail(result.status(), what);
   return std::move(result).value();
+}
+
+// Parses `text` as the value of `flag`; exits 2 naming the flag unless it is
+// an integer in [lo, hi].
+int64_t IntFlag(const char* flag, const char* text, int64_t lo, int64_t hi) {
+  Result<int64_t> value = ParseInt(text);
+  if (!value.ok() || *value < lo || *value > hi) {
+    const long long l = lo;
+    const long long h = hi;
+    const std::string want =
+        hi == INT64_MAX ? StrFormat("an integer >= %lld", l)
+                        : StrFormat("an integer in [%lld, %lld]", l, h);
+    std::fprintf(stderr, "secreta_jobd: bad value for %s: '%s' (want %s)\n",
+                 flag, text, want.c_str());
+    std::exit(2);
+  }
+  return *value;
+}
+
+// Same for a duration: finite seconds, > 0 (or >= 0 when `allow_zero`).
+double SecondsFlag(const char* flag, const char* text, bool allow_zero) {
+  Result<double> value = ParseDouble(text);
+  if (!value.ok() || !std::isfinite(*value) || *value < 0 ||
+      (*value == 0 && !allow_zero)) {
+    std::fprintf(stderr, "secreta_jobd: bad value for %s: '%s' (want %s)\n",
+                 flag, text,
+                 allow_zero ? "seconds >= 0" : "seconds > 0");
+    std::exit(2);
+  }
+  return *value;
 }
 
 void Usage() {
@@ -109,8 +141,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_flag = [&](const char* flag, int64_t lo, int64_t hi) {
+      return IntFlag(flag, next(flag), lo, hi);
+    };
+    auto seconds_flag = [&](const char* flag, bool allow_zero) {
+      return SecondsFlag(flag, next(flag), allow_zero);
+    };
     if (std::strcmp(argv[i], "--listen") == 0) {
-      server_options.port = static_cast<uint16_t>(std::atoi(next("--listen")));
+      server_options.port =
+          static_cast<uint16_t>(int_flag("--listen", 0, 65535));
       have_listen = true;
     } else if (std::strcmp(argv[i], "--bind") == 0) {
       server_options.bind_address = next("--bind");
@@ -119,28 +158,31 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--dataset") == 0) {
       dataset_names.push_back(next("--dataset"));
     } else if (std::strcmp(argv[i], "--records") == 0) {
-      gen.num_records = static_cast<size_t>(std::atol(next("--records")));
+      gen.num_records =
+          static_cast<size_t>(int_flag("--records", 1, INT64_MAX));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      gen.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
+      gen.seed = static_cast<uint64_t>(int_flag("--seed", 0, INT64_MAX));
     } else if (std::strcmp(argv[i], "--max-connections") == 0) {
       server_options.max_connections =
-          static_cast<size_t>(std::atol(next("--max-connections")));
+          static_cast<size_t>(int_flag("--max-connections", 1, INT64_MAX));
     } else if (std::strcmp(argv[i], "--deadline") == 0) {
       server_options.admission.default_deadline_seconds =
-          std::atof(next("--deadline"));
+          seconds_flag("--deadline", false);
     } else if (std::strcmp(argv[i], "--idle-timeout") == 0) {
-      server_options.idle_timeout_seconds = std::atof(next("--idle-timeout"));
+      server_options.idle_timeout_seconds =
+          seconds_flag("--idle-timeout", false);
     } else if (std::strcmp(argv[i], "--metrics-listen") == 0) {
       metrics_options.port =
-          static_cast<uint16_t>(std::atoi(next("--metrics-listen")));
+          static_cast<uint16_t>(int_flag("--metrics-listen", 0, 65535));
       have_metrics_listen = true;
     } else if (std::strcmp(argv[i], "--slow-query-log") == 0) {
       slow_query_log_path = next("--slow-query-log");
     } else if (std::strcmp(argv[i], "--slow-query-threshold") == 0) {
       server_options.slow_query_threshold_seconds =
-          std::atof(next("--slow-query-threshold"));
+          seconds_flag("--slow-query-threshold", true);
     } else if (std::strcmp(argv[i], "--trace-tail") == 0) {
-      trace_tail_capacity = static_cast<size_t>(std::atol(next("--trace-tail")));
+      trace_tail_capacity =
+          static_cast<size_t>(int_flag("--trace-tail", 1, INT64_MAX));
     } else if (std::strcmp(argv[i], "--trace-tail-out") == 0) {
       trace_tail_out = next("--trace-tail-out");
     } else if (std::strcmp(argv[i], "--kernels") == 0) {

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "serve/client.h"
 
 using namespace secreta;
@@ -94,7 +95,16 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--host") == 0) {
       host = next("--host");
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      port = static_cast<uint16_t>(std::atoi(next("--port")));
+      const char* text = next("--port");
+      Result<int64_t> value = ParseInt(text);
+      if (!value.ok() || *value < 1 || *value > 65535) {
+        std::fprintf(stderr,
+                     "serve_client: bad value for --port: '%s' (want an "
+                     "integer in [1, 65535])\n",
+                     text);
+        std::exit(2);
+      }
+      port = static_cast<uint16_t>(*value);
     } else if (std::strcmp(argv[i], "--token") == 0) {
       token = next("--token");
     } else if (std::strcmp(argv[i], "--client") == 0) {

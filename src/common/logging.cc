@@ -40,36 +40,6 @@ const char* Basename(const char* file) {
   return base;
 }
 
-void AppendJsonString(std::string* out, const std::string& raw) {
-  *out += '"';
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
-
 }  // namespace
 
 void SetLogLevel(LogLevel level) { g_level.store(level); }

@@ -102,6 +102,36 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+void AppendJsonString(std::string* out, std::string_view raw) {
+  *out += '"';
+  for (char c : raw) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          *out += StrFormat("\\u%04x", c);
+        } else {
+          *out += c;
+        }
+    }
+  }
+  *out += '"';
+}
+
 std::string ToLower(std::string_view input) {
   std::string out(input);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));

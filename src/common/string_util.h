@@ -35,6 +35,11 @@ bool LooksNumeric(std::string_view value);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// Appends `raw` to `out` as a quoted JSON string. Escapes quote, backslash,
+/// newline, carriage return, tab and every other control byte; passes all
+/// other bytes (UTF-8 included) through unchanged.
+void AppendJsonString(std::string* out, std::string_view raw);
+
 /// Lowercases ASCII characters.
 std::string ToLower(std::string_view input);
 

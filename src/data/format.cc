@@ -116,26 +116,6 @@ Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("corrupt SBC1 file: " + what);
 }
 
-void AppendPosting(std::string* out, const RoaringBitmap& bm) {
-  std::string payload;
-  bm.AppendTo(&payload);
-  bytes::PutU32(out, static_cast<uint32_t>(payload.size()));
-  out->append(payload);
-}
-
-Status ReadPosting(ByteReader* r, RoaringBitmap* out) {
-  uint32_t len = 0;
-  SECRETA_RETURN_IF_ERROR(r->ReadU32(&len));
-  const uint8_t* span = nullptr;
-  SECRETA_RETURN_IF_ERROR(r->ReadSpan(len, &span));
-  size_t consumed = 0;
-  if (!RoaringBitmap::FromBytes(span, len, out, &consumed) ||
-      consumed != len) {
-    return Corrupt("malformed posting-list bitmap");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 uint64_t DatasetContentFingerprint(const Dataset& dataset) {
@@ -167,7 +147,6 @@ Status WriteBinaryDataset(const Dataset& dataset, const std::string& path,
 
   uint16_t flags = 0;
   if (has_txn) flags |= kSbcFlagTransaction;
-  if (options.write_postings) flags |= kSbcFlagPostings;
 
   // Preamble: header + schema block + dictionary pages.
   std::string preamble;
@@ -252,36 +231,6 @@ Status WriteBinaryDataset(const Dataset& dataset, const std::string& path,
       }
       for (uint32_t r : rows) {
         for (ItemId item : dataset.items(r).raw()) bytes::PutI32(&section, item);
-      }
-    }
-    if (options.write_postings) {
-      // Per-value bitmaps over shard-local positions. Positions ascend as we
-      // scan the (ascending) row list, so FromSorted's contract holds.
-      for (size_t c = 0; c < num_cols; ++c) {
-        const size_t domain = dataset.dictionary(c).size();
-        std::vector<std::vector<uint32_t>> per_value(domain);
-        for (size_t pos = 0; pos < rows.size(); ++pos) {
-          per_value[static_cast<size_t>(dataset.value(rows[pos], c).raw())]
-              .push_back(static_cast<uint32_t>(pos));
-        }
-        bytes::PutU32(&section, static_cast<uint32_t>(domain));
-        for (const auto& positions : per_value) {
-          AppendPosting(&section, RoaringBitmap::FromSorted(positions));
-        }
-      }
-      if (has_txn) {
-        const size_t domain = dataset.item_dictionary().size();
-        std::vector<std::vector<uint32_t>> per_item(domain);
-        for (size_t pos = 0; pos < rows.size(); ++pos) {
-          for (ItemId item : dataset.items(rows[pos]).raw()) {
-            per_item[static_cast<size_t>(item)].push_back(
-                static_cast<uint32_t>(pos));
-          }
-        }
-        bytes::PutU32(&section, static_cast<uint32_t>(domain));
-        for (const auto& positions : per_item) {
-          AppendPosting(&section, RoaringBitmap::FromSorted(positions));
-        }
       }
     }
     shard_offsets.push_back(offset);
@@ -551,8 +500,8 @@ Result<Dataset> BinaryDatasetReader::DecodeShard(
       }
     }
   }
-  // Posting lists (if any) sit after the CSR block; ReadShardPostings
-  // decodes them, materialization does not need them.
+  // Legacy files (kSbcFlagPostings) carry posting lists after the CSR
+  // block; the section fingerprint covers them and decoding stops here.
   if (rows_out != nullptr) *rows_out = std::move(rows);
   return Dataset::FromParts(std::move(parts));
 }
@@ -595,65 +544,6 @@ Result<std::vector<uint32_t>> BinaryDatasetReader::ReadShardRows(
     rows.push_back(row);
   }
   return rows;
-}
-
-Result<BinaryDatasetReader::ShardPostings>
-BinaryDatasetReader::ReadShardPostings(size_t shard) const {
-  if (!has_postings()) {
-    return Status::FailedPrecondition("file was written without postings");
-  }
-  if (shard >= num_shards()) {
-    return Status::OutOfRange(StrFormat("shard %zu of %zu", shard, num_shards()));
-  }
-  SECRETA_ASSIGN_OR_RETURN(
-      MmapFile view, MmapFile::OpenRange(path_, shard_offsets_[shard],
-                                         shard_lengths_[shard]));
-  ByteReader r(view.data(), view.size());
-  uint32_t magic = 0;
-  uint32_t index = 0;
-  uint64_t row_count = 0;
-  SECRETA_RETURN_IF_ERROR(r.ReadU32(&magic));
-  if (magic != kSbcShardMagic) return Corrupt("bad shard section magic");
-  SECRETA_RETURN_IF_ERROR(r.ReadU32(&index));
-  SECRETA_RETURN_IF_ERROR(r.ReadU64(&row_count));
-  if (row_count > num_records_) return Corrupt("shard larger than dataset");
-  SECRETA_RETURN_IF_ERROR(r.Skip(4 * static_cast<size_t>(row_count)));
-  SECRETA_RETURN_IF_ERROR(
-      r.Skip(4 * static_cast<size_t>(row_count) * dictionaries_.size()));
-  if ((flags_ & kSbcFlagTransaction) != 0) {
-    SECRETA_RETURN_IF_ERROR(r.Skip(8));  // offsets[0]
-    uint64_t total = 0;
-    for (uint64_t i = 0; i < row_count; ++i) {
-      SECRETA_RETURN_IF_ERROR(r.ReadU64(&total));
-    }
-    SECRETA_RETURN_IF_ERROR(r.Skip(4 * static_cast<size_t>(total)));
-  }
-
-  ShardPostings postings;
-  postings.columns.resize(dictionaries_.size());
-  for (size_t c = 0; c < dictionaries_.size(); ++c) {
-    uint32_t domain = 0;
-    SECRETA_RETURN_IF_ERROR(r.ReadU32(&domain));
-    if (domain != dictionaries_[c].size()) {
-      return Corrupt("posting domain disagrees with dictionary");
-    }
-    postings.columns[c].resize(domain);
-    for (uint32_t v = 0; v < domain; ++v) {
-      SECRETA_RETURN_IF_ERROR(ReadPosting(&r, &postings.columns[c][v]));
-    }
-  }
-  if ((flags_ & kSbcFlagTransaction) != 0) {
-    uint32_t domain = 0;
-    SECRETA_RETURN_IF_ERROR(r.ReadU32(&domain));
-    if (domain != item_dictionary_.size()) {
-      return Corrupt("item posting domain disagrees with dictionary");
-    }
-    postings.items.resize(domain);
-    for (uint32_t v = 0; v < domain; ++v) {
-      SECRETA_RETURN_IF_ERROR(ReadPosting(&r, &postings.items[v]));
-    }
-  }
-  return postings;
 }
 
 Result<Dataset> BinaryDatasetReader::ReadAll() const {

@@ -41,14 +41,14 @@ void JsonWriter::EndArray() {
 
 void JsonWriter::Key(const std::string& key) {
   Separate();
-  Escape(key);
+  AppendJsonString(&out_, key);
   out_ += ':';
   after_key_ = true;
 }
 
 void JsonWriter::String(const std::string& value) {
   Separate();
-  Escape(value);
+  AppendJsonString(&out_, value);
 }
 
 void JsonWriter::Number(double value) {
@@ -73,36 +73,6 @@ void JsonWriter::Bool(bool value) {
 void JsonWriter::Null() {
   Separate();
   out_ += "null";
-}
-
-void JsonWriter::Escape(const std::string& raw) {
-  out_ += '"';
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out_ += "\\\"";
-        break;
-      case '\\':
-        out_ += "\\\\";
-        break;
-      case '\n':
-        out_ += "\\n";
-        break;
-      case '\r':
-        out_ += "\\r";
-        break;
-      case '\t':
-        out_ += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out_ += StrFormat("\\u%04x", c);
-        } else {
-          out_ += c;
-        }
-    }
-  }
-  out_ += '"';
 }
 
 }  // namespace secreta

@@ -42,7 +42,6 @@ class JsonWriter {
 
  private:
   void Separate();
-  void Escape(const std::string& raw);
 
   std::string out_;
   std::vector<bool> needs_comma_;  // per open container

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bytes.h"
 #include "kernels/kernels.h"
 
 namespace secreta {
@@ -367,106 +366,6 @@ std::vector<uint32_t> RoaringBitmap::ToVector() const {
   out.reserve(cardinality_);
   ForEachSet([&](uint32_t v) { out.push_back(v); });
   return out;
-}
-
-void RoaringBitmap::AppendTo(std::string* out) const {
-  bytes::PutU32(out, static_cast<uint32_t>(containers_.size()));
-  for (const Container& c : containers_) {
-    bytes::PutU16(out, c.key);
-    out->push_back(static_cast<char>(c.type));
-    out->push_back(0);  // reserved
-    bytes::PutU32(out, c.cardinality);
-    if (c.type == ContainerType::kBitset) {
-      bytes::PutU32(out, static_cast<uint32_t>(c.bits.size()));
-      for (uint64_t w : c.bits) bytes::PutU64(out, w);
-    } else {
-      bytes::PutU32(out, static_cast<uint32_t>(c.values.size()));
-      for (uint16_t v : c.values) bytes::PutU16(out, v);
-    }
-  }
-}
-
-bool RoaringBitmap::FromBytes(const uint8_t* data, size_t size,
-                              RoaringBitmap* out, size_t* consumed) {
-  RoaringBitmap bm;
-  size_t pos = 0;
-  if (size < 4) return false;
-  uint32_t container_count = bytes::GetU32(data);
-  pos += 4;
-  bm.containers_.reserve(container_count);
-  int64_t prev_key = -1;
-  for (uint32_t ci = 0; ci < container_count; ++ci) {
-    if (size - pos < 12) return false;
-    Container c;
-    c.key = bytes::GetU16(data + pos);
-    uint8_t type_byte = data[pos + 2];
-    c.cardinality = bytes::GetU32(data + pos + 4);
-    uint32_t word_count = bytes::GetU32(data + pos + 8);
-    pos += 12;
-    if (static_cast<int64_t>(c.key) <= prev_key) return false;
-    prev_key = c.key;
-    if (type_byte > static_cast<uint8_t>(ContainerType::kRun)) return false;
-    c.type = static_cast<ContainerType>(type_byte);
-    switch (c.type) {
-      case ContainerType::kArray: {
-        if (word_count != c.cardinality || word_count > 65536) return false;
-        if (size - pos < 2 * static_cast<size_t>(word_count)) return false;
-        c.values.reserve(word_count);
-        int64_t prev = -1;
-        for (uint32_t i = 0; i < word_count; ++i) {
-          uint16_t v = bytes::GetU16(data + pos + 2 * i);
-          if (static_cast<int64_t>(v) <= prev) return false;
-          prev = v;
-          c.values.push_back(v);
-        }
-        pos += 2 * static_cast<size_t>(word_count);
-        break;
-      }
-      case ContainerType::kBitset: {
-        if (word_count != kBitsetWords) return false;
-        if (size - pos < 8 * kBitsetWords) return false;
-        c.bits.resize(kBitsetWords);
-        for (size_t w = 0; w < kBitsetWords; ++w) {
-          c.bits[w] = bytes::GetU64(data + pos + 8 * w);
-        }
-        pos += 8 * kBitsetWords;
-        if (kernels::PopcountRange(c.bits.data(), kBitsetWords) !=
-            c.cardinality) {
-          return false;
-        }
-        break;
-      }
-      case ContainerType::kRun: {
-        if (word_count % 2 != 0 || word_count > 2 * 65536) return false;
-        if (size - pos < 2 * static_cast<size_t>(word_count)) return false;
-        c.values.reserve(word_count);
-        int64_t prev_end = -2;  // a first run may start at 0
-        uint64_t total = 0;
-        for (uint32_t i = 0; i < word_count; i += 2) {
-          uint16_t start = bytes::GetU16(data + pos + 2 * i);
-          uint16_t len = bytes::GetU16(data + pos + 2 * (i + 1));
-          // Runs must be sorted and non-adjacent (adjacent runs would have
-          // been coalesced by the writer).
-          if (static_cast<int64_t>(start) <= prev_end + 1) return false;
-          prev_end = static_cast<int64_t>(start) + len;
-          if (prev_end > 65535) return false;
-          total += static_cast<uint64_t>(len) + 1;
-          c.values.push_back(start);
-          c.values.push_back(len);
-        }
-        pos += 2 * static_cast<size_t>(word_count);
-        if (total != c.cardinality) return false;
-        break;
-      }
-    }
-    if (c.cardinality == 0) return false;
-    bm.cardinality_ += c.cardinality;
-    bm.containers_.push_back(std::move(c));
-  }
-  bm.has_last_ = !bm.containers_.empty();
-  if (consumed != nullptr) *consumed = pos;
-  *out = std::move(bm);
-  return true;
 }
 
 size_t RoaringBitmap::MemoryBytes() const {

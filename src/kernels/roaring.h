@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace secreta {
@@ -92,26 +91,6 @@ class RoaringBitmap {
 
   /// Heap bytes of the container payloads (the compression win to report).
   size_t MemoryBytes() const;
-
-  // -- serialization (the SBC1 posting-list page payload) ---------------------
-  //
-  // Little-endian, self-delimiting:
-  //   u32 container_count, then per container
-  //   { u16 key, u8 type, u8 reserved(0), u32 cardinality, u32 word_count,
-  //     payload } where payload is word_count × u16 (array: sorted values;
-  //     run: (start, length-1) pairs) or word_count × u64 (bitset, always
-  //     1024 words). Byte-level layout: docs/FORMATS.md §"Posting-list pages".
-
-  /// Appends the serialized finished bitmap to `out`.
-  void AppendTo(std::string* out) const;
-
-  /// Parses one serialized bitmap from the front of [data, data+size).
-  /// On success stores the finished bitmap in `out`, the encoded length in
-  /// `consumed`, and returns true; returns false on truncation or a
-  /// malformed container (unknown type, wrong bitset word count,
-  /// cardinality/payload mismatch, unsorted keys).
-  static bool FromBytes(const uint8_t* data, size_t size, RoaringBitmap* out,
-                        size_t* consumed);
 
   // -- container introspection (tests, stats) --------------------------------
   size_t num_containers() const { return containers_.size(); }

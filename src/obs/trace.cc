@@ -123,40 +123,6 @@ std::vector<ResolvedTraceEvent> Tracer::CollectEvents() const {
 
 size_t Tracer::num_events() const { return CollectEvents().size(); }
 
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& raw) {
-  *out += '"';
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
-
-}  // namespace
-
 std::string Tracer::ToChromeTraceJson() const {
   std::vector<ResolvedTraceEvent> events = CollectEvents();
   std::vector<uint32_t> tids;

@@ -4,11 +4,8 @@
 // poison the site with a transient Status, simulate an allocation failure,
 // abort the task, or add artificial latency.
 //
-// The sites compile to empty statements unless the build enables them
-// (cmake -DSECRETA_FAULTS=ON, which defines SECRETA_FAULTS_ENABLED): a
-// default build carries zero overhead and cannot inject faults. The
-// FaultInjector class itself is always compiled so the spec parser and
-// trigger logic stay unit-testable in every build.
+// Every build compiles the sites in. A disarmed site costs one acquire load
+// of FaultInjector::armed_; nothing fires until a spec is configured.
 //
 // Spec grammar (CLI --faults=SPEC or the SECRETA_FAULTS environment
 // variable): a comma-separated list of rules
@@ -76,15 +73,6 @@ class FaultInjector {
   /// The process-wide injector used by SECRETA_FAULT_POINT.
   static FaultInjector& Global();
 
-  /// Whether this build compiled the fault sites in (SECRETA_FAULTS=ON).
-  static constexpr bool CompiledIn() {
-#ifdef SECRETA_FAULTS_ENABLED
-    return true;
-#else
-    return false;
-#endif
-  }
-
   /// Parses a spec string into rules (see the grammar above).
   static Result<std::vector<FaultRule>> ParseSpec(const std::string& spec);
 
@@ -98,7 +86,7 @@ class FaultInjector {
   void Clear() SECRETA_EXCLUDES(mutex_);
 
   /// True when at least one rule is active. Lock-free: the fast path of an
-  /// unconfigured site is a single relaxed load.
+  /// unconfigured site is a single acquire load.
   bool armed() const { return armed_.load(std::memory_order_acquire); }
 
   /// Evaluates every rule for `site` in configuration order. Returns the
@@ -127,11 +115,9 @@ class FaultInjector {
 
 }  // namespace secreta
 
-// Declares a fault site. In a faults-enabled build, a firing rule makes the
-// enclosing function return the poisoned Status (the enclosing function must
-// return Status or Result<T>). In a default build the site is an empty
-// statement.
-#ifdef SECRETA_FAULTS_ENABLED
+// Declares a fault site. A firing rule makes the enclosing function return
+// the poisoned Status (the enclosing function must return Status or
+// Result<T>).
 #define SECRETA_FAULT_POINT(site)                                       \
   do {                                                                  \
     if (::secreta::FaultInjector::Global().armed()) {                   \
@@ -140,10 +126,5 @@ class FaultInjector {
       if (!_secreta_fault.ok()) return _secreta_fault;                  \
     }                                                                   \
   } while (false)
-#else
-#define SECRETA_FAULT_POINT(site) \
-  do {                            \
-  } while (false)
-#endif
 
 #endif  // SECRETA_ROBUST_FAULT_INJECTION_H_

@@ -13,6 +13,7 @@
 #include "common/string_util.h"
 #include "obs/metrics_registry.h"
 #include "obs/prometheus.h"
+#include "serve/protocol.h"
 
 namespace secreta {
 namespace {
@@ -33,21 +34,6 @@ std::string HttpResponse(const char* status_line, const char* content_type,
   out += "\r\nConnection: close\r\n\r\n";
   out += body;
   return out;
-}
-
-Status SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(
-          StrFormat("send failed: %s", std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 }  // namespace

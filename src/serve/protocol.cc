@@ -11,22 +11,6 @@
 namespace secreta {
 namespace {
 
-// Sends all of `data`, retrying on EINTR and short writes. MSG_NOSIGNAL so a
-// dead peer yields EPIPE instead of killing the process.
-Status SendAll(int fd, const char* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(
-          StrFormat("send failed: %s", std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 // Receives exactly `len` bytes. `*got` reports how many arrived before an
 // EOF; the caller distinguishes clean EOF (got == 0 on the length prefix)
 // from a truncated frame.
@@ -73,6 +57,21 @@ Result<uint32_t> DecodeFrameLength(std::string_view header,
   return len;
 }
 
+Status SendAll(int fd, std::string_view data) {
+  size_t sent = 0;
+  while (sent < data.size()) {
+    ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(
+          StrFormat("send failed: %s", std::strerror(errno)));
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
 Status WriteFrame(int fd, std::string_view payload) {
   if (payload.size() > 0xFFFFFFFFu) {
     return Status::InvalidArgument("frame payload exceeds 32-bit length");
@@ -88,7 +87,7 @@ Status WriteFrame(int fd, std::string_view payload) {
   frame.push_back(static_cast<char>((len >> 8) & 0xFF));
   frame.push_back(static_cast<char>(len & 0xFF));
   frame.append(payload);
-  return SendAll(fd, frame.data(), frame.size());
+  return SendAll(fd, frame);
 }
 
 Status ReadFrame(int fd, size_t max_frame_bytes, std::string* payload,

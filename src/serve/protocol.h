@@ -62,6 +62,10 @@ inline constexpr size_t kServeMaxFrameBytes = 1u << 20;
 Result<uint32_t> DecodeFrameLength(std::string_view header,
                                    size_t max_frame_bytes);
 
+/// Sends all of `data` to `fd`, retrying on EINTR and short writes.
+/// MSG_NOSIGNAL, so a dead peer yields IOError (EPIPE) instead of SIGPIPE.
+Status SendAll(int fd, std::string_view data);
+
 /// Writes one frame (length prefix + payload) to `fd`, handling partial
 /// writes and EINTR. Fails with IOError when the peer is gone.
 Status WriteFrame(int fd, std::string_view payload);

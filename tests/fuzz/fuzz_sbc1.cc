@@ -45,7 +45,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     for (size_t s = 0; s < reader->num_shards(); ++s) {
       (void)reader->ReadShard(s);
       (void)reader->ReadShardRows(s);
-      if (reader->has_postings()) (void)reader->ReadShardPostings(s);
     }
     (void)reader->ReadAll();
   }

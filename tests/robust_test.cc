@@ -29,8 +29,7 @@ namespace secreta {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Fault injector (the class is compiled in every build; only the engine
-// SECRETA_FAULT_POINT sites are gated behind -DSECRETA_FAULTS=ON).
+// Fault injector.
 
 TEST(FaultInjectorTest, ParseSpecAcceptsTheDocumentedGrammar) {
   ASSERT_OK_AND_ASSIGN(

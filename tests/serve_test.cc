@@ -755,9 +755,6 @@ TEST_F(ServeServerTest, StopUnblocksIdleClientsAndIsIdempotent) {
 }
 
 TEST_F(ServeServerTest, FaultInjectionAtServeRequest) {
-  if (!FaultInjector::CompiledIn()) {
-    GTEST_SKIP() << "fault sites compiled out (SECRETA_FAULTS=OFF)";
-  }
   StartServer();
   ASSERT_OK(FaultInjector::Global().Configure("serve.request:fail:@1"));
   ServeClient client;
@@ -936,9 +933,6 @@ TEST_F(ServeServerTest, MetricsEndpointServesLabeledPrometheusSeries) {
 }
 
 TEST_F(ServeServerTest, InjectedDelayLandsInSlowLogAndTailWithOneTraceId) {
-  if (!FaultInjector::CompiledIn()) {
-    GTEST_SKIP() << "fault sites compiled out (SECRETA_FAULTS=OFF)";
-  }
   TraceTail::Global().Clear();
   std::string path = ::testing::TempDir() + "/secreta_serve_delay.jsonl";
   ASSERT_OK(SlowQueryLog::Global().Open(path));

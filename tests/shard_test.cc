@@ -1,6 +1,6 @@
 // Tests for the out-of-core sharded dataset engine: the SBC1 binary format
 // (writer → mmap reader round trip against the CSV oracle, corruption
-// rejection), Roaring posting-list serialization, ShardPlan determinism,
+// rejection, legacy files with posting lists), ShardPlan determinism,
 // ColumnProvider backend interchangeability, ShardCheckpoint persistence,
 // and the sharded anonymization runner's byte-identity guarantees.
 
@@ -21,7 +21,6 @@
 #include "engine/anonymization_module.h"
 #include "engine/sharded_runner.h"
 #include "hierarchy/hierarchy_builder.h"
-#include "kernels/roaring.h"
 #include "robust/checkpoint.h"
 #include "robust/shard_checkpoint.h"
 #include "tests/test_util.h"
@@ -123,79 +122,6 @@ TEST(ShardPlanTest, ParseShardKindInvertsName) {
 }
 
 // ---------------------------------------------------------------------------
-// Roaring serialization
-
-TEST(RoaringSerializationTest, RoundTripsEveryContainerKind) {
-  // Array (sparse), bitset (dense), run (contiguous), spanning two chunks.
-  std::vector<uint32_t> values;
-  for (uint32_t v = 0; v < 9000; v += 2) values.push_back(v);       // bitset
-  for (uint32_t v = 70000; v < 70500; ++v) values.push_back(v);     // run
-  values.push_back(200000);                                         // array
-  values.push_back(200007);
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(values);
-
-  std::string bytes;
-  bitmap.AppendTo(&bytes);
-  RoaringBitmap decoded;
-  size_t consumed = 0;
-  ASSERT_TRUE(RoaringBitmap::FromBytes(
-      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(), &decoded,
-      &consumed));
-  EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(decoded.Cardinality(), bitmap.Cardinality());
-  EXPECT_EQ(decoded.ToVector(), values);
-  // The decoded bitmap is finished and usable.
-  EXPECT_TRUE(decoded.Contains(200007));
-  EXPECT_FALSE(decoded.Contains(200001));
-}
-
-TEST(RoaringSerializationTest, RunStartingAtZeroRoundTrips) {
-  // Regression: a run container whose first run begins at value 0 — the
-  // shape every all-rows posting list takes — must decode.
-  std::vector<uint32_t> values;
-  for (uint32_t v = 0; v <= 500; ++v) values.push_back(v);
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(values);
-  std::string bytes;
-  bitmap.AppendTo(&bytes);
-  RoaringBitmap decoded;
-  size_t consumed = 0;
-  ASSERT_TRUE(RoaringBitmap::FromBytes(
-      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(), &decoded,
-      &consumed));
-  EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(decoded.ToVector(), values);
-}
-
-TEST(RoaringSerializationTest, RejectsTruncationAndCorruption) {
-  std::vector<uint32_t> values{1, 5, 9, 70000};
-  RoaringBitmap bitmap = RoaringBitmap::FromSorted(values);
-  std::string bytes;
-  bitmap.AppendTo(&bytes);
-
-  RoaringBitmap decoded;
-  size_t consumed = 0;
-  // Every proper prefix must be rejected.
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(RoaringBitmap::FromBytes(
-        reinterpret_cast<const uint8_t*>(bytes.data()), len, &decoded,
-        &consumed))
-        << "prefix length " << len << " accepted";
-  }
-  // Unknown container type byte.
-  std::string bad = bytes;
-  bad[4 + 2] = 9;  // first container's type field
-  EXPECT_FALSE(RoaringBitmap::FromBytes(
-      reinterpret_cast<const uint8_t*>(bad.data()), bad.size(), &decoded,
-      &consumed));
-  // Cardinality that disagrees with the payload.
-  bad = bytes;
-  bad[4 + 4] = static_cast<char>(bad[4 + 4] + 1);
-  EXPECT_FALSE(RoaringBitmap::FromBytes(
-      reinterpret_cast<const uint8_t*>(bad.data()), bad.size(), &decoded,
-      &consumed));
-}
-
-// ---------------------------------------------------------------------------
 // SBC1 writer → reader
 
 class FormatTest : public ::testing::Test {
@@ -272,58 +198,43 @@ TEST_F(FormatTest, HashPartitionedFileRoundTrips) {
   EXPECT_EQ(CanonicalCsv(decoded), CanonicalCsv(original));
 }
 
-TEST_F(FormatTest, PostingsMatchCellScan) {
-  Dataset original = SmallRtDataset(220, 29);
-  BinaryWriteOptions options;
-  options.num_shards = 2;
-  WriteAndOpen(original, options, "postings.sbc");
-  ASSERT_TRUE(reader_->has_postings());
-
-  for (size_t s = 0; s < reader_->num_shards(); ++s) {
-    ASSERT_OK_AND_ASSIGN(Dataset shard, reader_->ReadShard(s));
-    ASSERT_OK_AND_ASSIGN(BinaryDatasetReader::ShardPostings postings,
-                         reader_->ReadShardPostings(s));
-    ASSERT_EQ(postings.columns.size(), shard.num_relational());
-    for (size_t col = 0; col < shard.num_relational(); ++col) {
-      ASSERT_EQ(postings.columns[col].size(), shard.dictionary(col).size());
-      for (size_t value = 0; value < postings.columns[col].size(); ++value) {
-        std::vector<uint32_t> expected;
-        for (size_t r = 0; r < shard.num_records(); ++r) {
-          if (static_cast<size_t>(shard.value(r, col).raw()) == value) {
-            expected.push_back(static_cast<uint32_t>(r));
-          }
-        }
-        EXPECT_EQ(postings.columns[col][value].ToVector(), expected)
-            << "shard " << s << " col " << col << " value " << value;
-      }
-    }
-    ASSERT_EQ(postings.items.size(), shard.item_dictionary().size());
-    for (size_t item = 0; item < postings.items.size(); ++item) {
-      std::vector<uint32_t> expected;
-      for (size_t r = 0; r < shard.num_records(); ++r) {
-        for (ItemId it : shard.items(r).raw()) {
-          if (static_cast<size_t>(it) == item) {
-            expected.push_back(static_cast<uint32_t>(r));
-            break;
-          }
-        }
-      }
-      EXPECT_EQ(postings.items[item].ToVector(), expected)
-          << "shard " << s << " item " << item;
-    }
-  }
-}
-
-TEST_F(FormatTest, NoPostingsFlagRoundTrips) {
+TEST_F(FormatTest, FreshRtFileSetsOnlyTheTransactionFlag) {
   Dataset original = SmallRtDataset(120, 5);
   BinaryWriteOptions options;
   options.num_shards = 2;
-  options.write_postings = false;
-  WriteAndOpen(original, options, "noposting.sbc");
-  EXPECT_FALSE(reader_->has_postings());
-  EXPECT_FALSE(reader_->ReadShardPostings(0).ok());
-  ASSERT_OK_AND_ASSIGN(Dataset decoded, reader_->ReadAll());
-  EXPECT_EQ(CanonicalCsv(decoded), CanonicalCsv(original));
+  WriteAndOpen(original, options, "flags.sbc");
+  // Header: u32 magic, u16 version, u16 flags (little-endian).
+  const std::string bytes = ReadFileBytes(path_);
+  ASSERT_GE(bytes.size(), kSbcHeaderBytes);
+  const uint16_t flags = static_cast<uint16_t>(
+      static_cast<unsigned char>(bytes[6]) |
+      (static_cast<unsigned char>(bytes[7]) << 8));
+  EXPECT_EQ(flags, kSbcFlagTransaction);
+}
+
+TEST_F(FormatTest, ReadsLegacyFileWithPostings) {
+  // Written by an older writer that appended per-shard posting lists after
+  // each CSR block (header flags 0x0003). Readers still open such files and
+  // skip the trailing bytes, which the section fingerprints cover.
+  const std::string legacy = SECRETA_LEGACY_SBC1_PATH;
+  const std::string bytes = ReadFileBytes(legacy);
+  ASSERT_GE(bytes.size(), kSbcHeaderBytes);
+  EXPECT_EQ(static_cast<unsigned char>(bytes[6]),
+            kSbcFlagTransaction | kSbcFlagPostings);
+  EXPECT_EQ(static_cast<unsigned char>(bytes[7]), 0);
+
+  ASSERT_OK_AND_ASSIGN(BinaryDatasetReader reader,
+                       BinaryDatasetReader::Open(legacy));
+  EXPECT_EQ(reader.num_records(), 24u);
+  ASSERT_OK(reader.VerifyFile());
+  size_t rows = 0;
+  for (size_t s = 0; s < reader.num_shards(); ++s) {
+    ASSERT_OK_AND_ASSIGN(Dataset shard, reader.ReadShard(s));
+    rows += shard.num_records();
+  }
+  EXPECT_EQ(rows, 24u);
+  ASSERT_OK_AND_ASSIGN(Dataset all, reader.ReadAll());
+  EXPECT_EQ(DatasetContentFingerprint(all), reader.content_fingerprint());
 }
 
 TEST_F(FormatTest, ItemSupportsMatchFullScan) {
